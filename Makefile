@@ -34,8 +34,12 @@ fmt-check:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# bench/ is its own module, so ./... does not reach it: its tests (quantile and
+# verdict units, plus a smoke run of all four workloads under their
+# HTTP-vs-in-process and ValidateGram gates) are run explicitly.
 test:
 	$(GO) test ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -race -short ./...

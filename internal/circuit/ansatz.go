@@ -105,12 +105,17 @@ func (a Ansatz) Build(x []float64) (*Circuit, error) {
 		}
 	}
 
+	rounds := a.ScheduledEdges()
+	edges := 0
+	for _, round := range rounds {
+		edges += len(round)
+	}
 	c := New(a.Qubits)
+	c.Gates = make([]Gate, 0, a.Qubits+a.Layers*(a.Qubits+edges))
 	// |+⟩^m preparation.
 	for q := 0; q < a.Qubits; q++ {
 		c.MustAppend(Gate{Name: "H", Qubits: []int{q}, Mat: gates.H()})
 	}
-	rounds := a.ScheduledEdges()
 	for layer := 0; layer < a.Layers; layer++ {
 		// e^{−iH_Z(x)}: RZ(2γx_i) on each qubit.
 		for q := 0; q < a.Qubits; q++ {

@@ -170,6 +170,26 @@ func TestAnsatzBuildGateInventory(t *testing.T) {
 	}
 }
 
+// TestBuildAndRouteSizeGatesExactly: both know their gate count up front and
+// allocate the slice once — neither growing it nor over-reserving.
+func TestBuildAndRouteSizeGatesExactly(t *testing.T) {
+	for _, a := range []Ansatz{
+		{Qubits: 4, Layers: 2, Distance: 1, Gamma: 0.5},
+		{Qubits: 9, Layers: 3, Distance: 4, Gamma: 0.5},
+	} {
+		c, err := a.Build(make([]float64, a.Qubits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Gates) != cap(c.Gates) {
+			t.Fatalf("d=%d: Build holds %d gates in capacity %d", a.Distance, len(c.Gates), cap(c.Gates))
+		}
+		if r := Route(c); len(r.Gates) != cap(r.Gates) {
+			t.Fatalf("d=%d: Route holds %d gates in capacity %d", a.Distance, len(r.Gates), cap(r.Gates))
+		}
+	}
+}
+
 func TestAnsatzBuildRejectsBadInput(t *testing.T) {
 	a := Ansatz{Qubits: 3, Layers: 1, Distance: 1, Gamma: 1}
 	if _, err := a.Build([]float64{1, 2}); err == nil {

@@ -12,6 +12,7 @@ import (
 // pass through unchanged. The input circuit is not modified.
 func Route(c *Circuit) *Circuit {
 	out := New(c.NumQubits)
+	out.Gates = make([]Gate, 0, len(c.Gates)+RoutingOverhead(c))
 	for _, g := range c.Gates {
 		if !g.IsTwoQubit() {
 			out.MustAppend(g)

@@ -1,9 +1,15 @@
 package mps
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -347,6 +353,58 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalBinary(blob, Config{}); err == nil {
 		t.Error("expected error for truncated payload")
 	}
+}
+
+// TestUnmarshalBoundsAllocationByInput: a bond dimension is the sender's
+// word. A 28-byte frame announcing a 2³¹−1 right bond used to reach
+// make([]complex128, ~2³²) before the first payload read failed.
+func TestUnmarshalBoundsAllocationByInput(t *testing.T) {
+	blob, _ := NewZeroState(2, Config{}).MarshalBinary()
+	blob = blob[:headerSize+8]
+	binary.LittleEndian.PutUint32(blob[headerSize+4:], math.MaxInt32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalBinary(blob, Config{})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte frame allocated %d bytes", len(blob), grew)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "payload") {
+		t.Fatalf("want a truncated-payload error, got %v", err)
+	}
+}
+
+// FuzzUnmarshalBinary: the decoder reads frames off a socket and model files
+// off disk, so on arbitrary bytes it must return an error or a state — never
+// panic — and whatever it accepts must re-encode to the same bytes. Every
+// proper prefix of a valid frame is rejected.
+func FuzzUnmarshalBinary(f *testing.F) {
+	rng := rand.New(rand.NewSource(47))
+	for _, a := range []circuit.Ansatz{
+		{Qubits: 12, Layers: 2, Distance: 1, Gamma: 0.1}, // bond 2
+		{Qubits: 10, Layers: 2, Distance: 4, Gamma: 1.0}, // bond 32
+	} {
+		blob, err := buildAnsatzMPS(f, a, randomData(rng, a.Qubits), Config{}).MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for cut := range blob {
+			if _, err := UnmarshalBinary(blob[:cut], Config{}); err == nil {
+				f.Fatalf("accepted a %d-byte prefix of a %d-byte frame", cut, len(blob))
+			}
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := UnmarshalBinary(data, Config{})
+		if err != nil {
+			return
+		}
+		back, err := m.MarshalBinary()
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted %d bytes but re-encoded to %d (err %v)", len(data), len(back), err)
+		}
+	})
 }
 
 // Property: for random product-style circuits the kernel entry equals the

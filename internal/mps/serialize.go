@@ -1,9 +1,9 @@
 package mps
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/tensor"
@@ -13,53 +13,45 @@ import (
 // bytes into UnmarshalBinary during distributed message passing.
 const magic uint32 = 0x4d505331 // "MPS1"
 
+// headerSize is the fixed prefix: magic, n, centre (4 bytes each), truncErr (8).
+const headerSize = 4 + 4 + 4 + 8
+
 // MarshalBinary serialises the MPS site tensors (shapes and payloads) for
 // transfer between processes in the round-robin distribution strategy
 // (section II-D). Configuration and instrumentation are not serialised: the
-// receiver supplies its own Config on decode.
+// receiver supplies its own Config on decode. Everything is little-endian;
+// floats are IEEE-754 bit patterns.
 func (m *MPS) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	w := func(v any) {
-		// bytes.Buffer writes never fail.
-		_ = binary.Write(&buf, binary.LittleEndian, v)
-	}
-	w(magic)
-	w(int32(m.N))
-	w(int32(m.center))
-	w(m.TruncationError)
+	le := binary.LittleEndian
+	buf := make([]byte, 0, m.MarshaledSize())
+	buf = le.AppendUint32(buf, magic)
+	buf = le.AppendUint32(buf, uint32(m.N))
+	buf = le.AppendUint32(buf, uint32(m.center))
+	buf = le.AppendUint64(buf, math.Float64bits(m.TruncationError))
 	for _, s := range m.Sites {
-		w(int32(s.Shape[0]))
-		w(int32(s.Shape[2]))
+		buf = le.AppendUint32(buf, uint32(s.Shape[0]))
+		buf = le.AppendUint32(buf, uint32(s.Shape[2]))
 		for _, c := range s.Data {
-			w(real(c))
-			w(imag(c))
+			buf = le.AppendUint64(buf, math.Float64bits(real(c)))
+			buf = le.AppendUint64(buf, math.Float64bits(imag(c)))
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // UnmarshalBinary reconstructs an MPS serialised by MarshalBinary, attaching
-// the given Config (backend, truncation policy) to the result.
+// the given Config (backend, truncation policy) to the result. data may come
+// off the wire: nothing is allocated beyond what its length can back.
 func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
-	r := bytes.NewReader(data)
-	var mg uint32
-	if err := binary.Read(r, binary.LittleEndian, &mg); err != nil {
-		return nil, fmt.Errorf("mps: truncated header: %w", err)
+	le := binary.LittleEndian
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("mps: truncated header: %w", io.ErrUnexpectedEOF)
 	}
-	if mg != magic {
+	if mg := le.Uint32(data); mg != magic {
 		return nil, fmt.Errorf("mps: bad magic 0x%08x", mg)
 	}
-	var n, center int32
-	var truncErr float64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &center); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &truncErr); err != nil {
-		return nil, err
-	}
+	n, center := int32(le.Uint32(data[4:])), int32(le.Uint32(data[8:]))
+	truncErr := math.Float64frombits(le.Uint64(data[12:]))
 	if n < 1 || n > 1<<20 {
 		return nil, fmt.Errorf("mps: implausible qubit count %d", n)
 	}
@@ -71,38 +63,36 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 	}
 	m := &MPS{N: int(n), cfg: cfg.withDefaults(), center: int(center), TruncationError: truncErr}
 	m.Sites = make([]*tensor.Tensor, n)
+	rest := data[headerSize:]
 	prevR := 1
-	for i := 0; i < int(n); i++ {
-		var l, rr int32
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-			return nil, fmt.Errorf("mps: site %d header: %w", i, err)
+	for i := range m.Sites {
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("mps: site %d header: %w", i, io.ErrUnexpectedEOF)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &rr); err != nil {
-			return nil, fmt.Errorf("mps: site %d header: %w", i, err)
-		}
+		l, rr := int32(le.Uint32(rest)), int32(le.Uint32(rest[4:]))
+		rest = rest[8:]
 		if l < 1 || rr < 1 || int(l) != prevR {
 			return nil, fmt.Errorf("mps: site %d has inconsistent bonds (%d,%d), expected left=%d", i, l, rr, prevR)
 		}
 		if i == int(n)-1 && rr != 1 {
 			return nil, fmt.Errorf("mps: last site right bond %d != 1", rr)
 		}
-		sz := int(l) * 2 * int(rr)
-		data := make([]complex128, sz)
-		for j := 0; j < sz; j++ {
-			var re, im float64
-			if err := binary.Read(r, binary.LittleEndian, &re); err != nil {
-				return nil, fmt.Errorf("mps: site %d payload: %w", i, err)
-			}
-			if err := binary.Read(r, binary.LittleEndian, &im); err != nil {
-				return nil, fmt.Errorf("mps: site %d payload: %w", i, err)
-			}
-			data[j] = complex(re, im)
+		// rr is the sender's word: the 32·l·rr payload bytes must be present
+		// before anything is allocated for them.
+		if int64(l)*int64(rr) > int64(len(rest))/32 {
+			return nil, fmt.Errorf("mps: site %d payload: %w", i, io.ErrUnexpectedEOF)
 		}
-		m.Sites[i] = tensor.FromData(data, int(l), 2, int(rr))
+		site := make([]complex128, int(l)*2*int(rr))
+		for j := range site {
+			re, im := le.Uint64(rest[16*j:]), le.Uint64(rest[16*j+8:])
+			site[j] = complex(math.Float64frombits(re), math.Float64frombits(im))
+		}
+		rest = rest[16*len(site):]
+		m.Sites[i] = tensor.FromData(site, int(l), 2, int(rr))
 		prevR = int(rr)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("mps: %d trailing bytes", r.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("mps: %d trailing bytes", len(rest))
 	}
 	return m, nil
 }
@@ -111,7 +101,7 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 // used by the distributed runtime to account communication volume without
 // materialising the payload.
 func (m *MPS) MarshaledSize() int64 {
-	sz := int64(4 + 4 + 4 + 8) // magic, n, center, truncErr
+	sz := int64(headerSize)
 	for _, s := range m.Sites {
 		sz += 8 + int64(len(s.Data))*16
 	}
