@@ -7,10 +7,9 @@ BENCH_OUT := BENCH_$(DATE).json
 # cache/overlap-engine benches added with the state cache, the micro-batched
 # serving path (ns/op per coalesced row), the transport ablation
 # (chan vs. sim vs. tcp-loopback wires under the same round-robin Gram), the
-# fused gate-engine bench (serial + parallel backends), the banded
-# materialisation engine (one batch GEMM per gate position per band), and the
-# blocked tridiagonal eigensolver behind SVDTrunc.
-SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|BenchmarkFig5SimulationSerial|BenchmarkSVMTrain|BenchmarkFitPredictRoundTrip|BenchmarkGramFromStates|BenchmarkServeBatch|BenchmarkGramTransport|BenchmarkApplyCircuit|BenchmarkBatchedStates|BenchmarkBlockedEig
+# fused gate-engine bench (serial + parallel backends), and the blocked
+# tridiagonal eigensolver behind SVDTrunc.
+SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|BenchmarkFig5SimulationSerial|BenchmarkSVMTrain|BenchmarkFitPredictRoundTrip|BenchmarkGramFromStates|BenchmarkServeBatch|BenchmarkGramTransport|BenchmarkApplyCircuit|BenchmarkBlockedEig
 
 # The committed perf baseline: the newest BENCH_<date>.json tracked by git.
 # bench-check reads the blob from HEAD (not the working tree), so a fresh

@@ -607,38 +607,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	}
 }
 
-// --- Batched state materialisation (one GEMM per band) ----------------------
-
-// BenchmarkBatchedStates measures the tentpole directly: materialising a
-// panel of kernel rows through the banded engine (per gate position, one
-// fused batch GEMM across the whole band) against the same rows forced
-// through the row-at-a-time path (band=1). Both sub-benches produce
-// bit-identical states (enforced by the metamorphic suite); the ns/op gap is
-// the dispatch and cache-locality win of banding alone.
-func BenchmarkBatchedStates(b *testing.B) {
-	rows := benchData(b, 24, 16)
-	for _, cfg := range []struct {
-		name string
-		band int
-	}{
-		{"band=1", 1},
-		{"banded", 0}, // 0 = the adaptive default (4·GOMAXPROCS clamped to cache budget)
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			q := &kernel.Quantum{
-				Ansatz:    circuit.Ansatz{Qubits: 16, Layers: 2, Distance: 2, Gamma: 0.5},
-				BatchBand: cfg.band,
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.StatesBatched(rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- State materialisation scaling and the blocked eigensolver --------------
 
 // BenchmarkStatesScaling reports kernel.States throughput at 1, 2 and 4
 // workers on the same row set. The acceptance target is ≥0.75× linear from

@@ -39,7 +39,6 @@ func runServe(args []string) int {
 	queue := fs.Int("queue", serve.DefaultQueueDepth, "max queued requests per model before 429 backpressure")
 	cacheMB := fs.Int("cache-mb", -1, "total state-cache budget in MiB shared across all models (-1 keeps each model's saved setting as its share, 0 disables)")
 	procs := fs.Int("procs", 0, "override the models' simulated process count (0 keeps the saved settings)")
-	batchBand := fs.Int("batch-band", 0, "override the models' banded state-materialisation width (0 keeps the saved settings / auto-sizing)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-API-key token-bucket rate limit in requests/second (0 disables)")
 	rateBurst := fs.Int("rate-burst", 0, "rate-limit bucket capacity (0 derives from -rate-limit)")
 	admin := fs.Bool("admin", false, "expose POST /admin/reload (hot model swap)")
@@ -74,9 +73,8 @@ func runServe(args []string) int {
 	}
 
 	regCfg := registry.Config{
-		Procs:     *procs,
-		BatchBand: *batchBand,
-		Batch:     serve.Config{MaxBatch: *batch, MaxWait: *batchWait, QueueDepth: *queue, Obs: tracer},
+		Procs: *procs,
+		Batch: serve.Config{MaxBatch: *batch, MaxWait: *batchWait, QueueDepth: *queue, Obs: tracer},
 	}
 	switch {
 	case *cacheMB > 0:
@@ -147,12 +145,8 @@ func runServe(args []string) int {
 	if tracer.Enabled() {
 		traceState = fmt.Sprintf("trace ring %d", *traceRing)
 	}
-	bandState := "sim band auto"
-	if *batchBand > 0 {
-		bandState = fmt.Sprintf("sim band %d", *batchBand)
-	}
-	fmt.Printf("qkernel serve: listening on http://%s (%d models, batch %d, batch-wait %v, queue %d, %s, %s, %s, %s)\n",
-		ln.Addr(), len(specs), *batch, *batchWait, *queue, bandState, limits, adminState, traceState)
+	fmt.Printf("qkernel serve: listening on http://%s (%d models, batch %d, batch-wait %v, queue %d, %s, %s, %s)\n",
+		ln.Addr(), len(specs), *batch, *batchWait, *queue, limits, adminState, traceState)
 
 	// SIGHUP is the operator's hot-reload signal: re-stat every model path
 	// and atomically swap the changed ones with zero dropped requests.

@@ -33,7 +33,6 @@ func runTrain(args []string) int {
 	var ff dist.FaultFlags
 	ff.Register(fs)
 	cacheMB := fs.Int("cache-mb", 256, "χ-aware simulated-state cache budget in MiB (0 disables)")
-	batchBand := fs.Int("batch-band", 0, "rows materialised per lockstep band (one fused GEMM dispatch per gate position; 0 auto-sizes from cores and cache budget, 1 disables banding)")
 	cFlag := fs.Float64("c", 0, "SVM box constraint (0 sweeps the paper's grid)")
 	calibFrac := fs.Float64("calib-frac", 0, "fraction of training rows held out for conformal calibration (0 disables, max 0.5)")
 	alpha := fs.Float64("alpha", 0, "conformal miscoverage level α (default 0.1 when -calib-frac is set)")
@@ -71,7 +70,7 @@ func runTrain(args []string) int {
 	fw, err := core.New(core.Options{
 		Features: df.features, Layers: *layers, Distance: *distance, Gamma: *gamma,
 		C: *cFlag, Procs: *procs, Strategy: strategy, Transport: transport, CacheBytes: cacheBytes,
-		BatchBand: *batchBand, CalibFrac: *calibFrac, Alpha: *alpha,
+		CalibFrac: *calibFrac, Alpha: *alpha,
 		DistDeadline: ff.Deadline, DistRetries: ff.Retries, DistBackoff: ff.Backoff,
 	})
 	if err != nil {
@@ -90,11 +89,6 @@ func runTrain(args []string) int {
 	}
 
 	t0 := time.Now()
-	bandSrc := "auto-sized from cores and cache budget"
-	if *batchBand > 0 {
-		bandSrc = "set by -batch-band"
-	}
-	fmt.Printf("banded materialisation: %d rows per lockstep band (%s)\n", fw.BandWidth(), bandSrc)
 	model, report, err := fw.FitCtx(ctx, train.X, train.Y)
 	if err != nil {
 		return fail(err)

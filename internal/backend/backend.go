@@ -47,11 +47,6 @@ type Backend interface {
 	// The returned factors alias ws and are valid until its next use.
 	// Results are bit-identical across backends for the same input.
 	SVDTrunc(ws *linalg.Workspace, m *linalg.Matrix) linalg.SVDResult
-	// MatMulBatchInto materialises a band of independent products in one
-	// fused dispatch — the banded gate engine's "one GEMM per band"
-	// primitive. Each product is bit-identical to MatMulInto on every
-	// backend; only one dispatch latency is charged for the whole band.
-	MatMulBatchInto(ops []linalg.MatMulOp)
 	// SVDTruncLazy begins the two-phase truncation SVD: the returned handle
 	// carries the full singular spectrum (enough for the MPS truncation
 	// cut) and its Factors method materialises the thin factors for the

@@ -87,19 +87,6 @@ func (p *Parallel) MatMulInto(dst, a, b *linalg.Matrix) *linalg.Matrix {
 	return c
 }
 
-// MatMulBatchInto implements Backend: whole ops of the band fan out over the
-// pool, and — this is the point of batching — only ONE dispatch latency is
-// charged for the entire band instead of one per product. Each op runs the
-// serial row kernel on a single worker, so every Dst matches the serial
-// backend bit for bit.
-func (p *Parallel) MatMulBatchInto(ops []linalg.MatMulOp) {
-	t0 := time.Now()
-	p.dispatch()
-	linalg.MatMulBatchIntoWorkers(ops, p.workers)
-	p.stats.MatMulOps.Add(1)
-	p.stats.MatMulNanos.Add(time.Since(t0).Nanoseconds())
-}
-
 // SVDTrunc implements Backend: the workspace-backed truncation SVD with the
 // dense products (Gram formation, A·V, Householder updates) fanned over the
 // pool. linalg.SVDTrunc partitions only independent row/column blocks, so

@@ -37,15 +37,6 @@ func (s *Serial) MatMulInto(dst, a, b *linalg.Matrix) *linalg.Matrix {
 	return c
 }
 
-// MatMulBatchInto implements Backend: the band's products run back to back
-// on the calling goroutine. The whole band counts as one fused op.
-func (s *Serial) MatMulBatchInto(ops []linalg.MatMulOp) {
-	t0 := time.Now()
-	linalg.MatMulBatchInto(ops)
-	s.stats.MatMulOps.Add(1)
-	s.stats.MatMulNanos.Add(time.Since(t0).Nanoseconds())
-}
-
 // SVDTrunc implements Backend with the serial workspace-backed path.
 func (s *Serial) SVDTrunc(ws *linalg.Workspace, m *linalg.Matrix) linalg.SVDResult {
 	t0 := time.Now()

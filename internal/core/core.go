@@ -86,12 +86,6 @@ type Options struct {
 	// training-state handles on the Model, so Predict re-simulates the
 	// training rows instead of pinning them in memory.
 	CacheBytes int64
-	// BatchBand is the banded state-materialisation width: the kernel
-	// simulates rows in lockstep bands of this many circuits, fusing each
-	// gate position's contractions into one batched GEMM dispatch. 0 selects
-	// automatically from the core count and the cache budget; 1 degenerates
-	// to row-at-a-time simulation. Results are bit-identical at every width.
-	BatchBand int
 	// CalibFrac enables conformal calibration: the fraction of training
 	// rows Fit holds out (deterministically, every ⌊1/CalibFrac⌋-th row) as
 	// the split-conformal calibration partition. The SVM is trained on the
@@ -253,15 +247,10 @@ func New(opts Options) (*Framework, error) {
 	return &Framework{
 		opts:        opts,
 		cacheBudget: cacheBudget,
-		q:           &kernel.Quantum{Ansatz: ansatz, Config: cfg, Cache: cache, BatchBand: opts.BatchBand},
+		q:           &kernel.Quantum{Ansatz: ansatz, Config: cfg, Cache: cache},
 		comm:        CommStats{Transport: dist.TransportName(opts.Transport)},
 	}, nil
 }
-
-// BandWidth returns the resolved banded state-materialisation width the
-// kernel uses (Options.BatchBand, or the automatic core-count/cache-budget
-// choice) — narrated in the train summary and served in /stats.
-func (f *Framework) BandWidth() int { return f.q.BandWidth() }
 
 // distOptions maps the framework's options onto one distributed computation,
 // parented under sp for tracing (nil = untraced).

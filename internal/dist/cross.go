@@ -51,74 +51,18 @@ func crossProcRR(q *kernel.Quantum, testX, trainX [][]float64, gram [][]float64,
 	sp.SetAttr("train_rows", len(ownedTrain))
 
 	// Phase 1: materialise both local shards (test rows, then train
-	// columns) as one concatenated banded sequence — one shard alone may be
-	// smaller than the band width, and the pool claims whole bands — behind
-	// the same barrier discipline as the training path. Each band is one
-	// batched cache lookup + one lockstep engine pass.
-	nt := len(ownedTest)
-	testStates := make([]*mps.MPS, nt)
+	// columns) behind the same barrier discipline as the training path.
+	testStates := make([]*mps.MPS, len(ownedTest))
 	trainStates := make([]*mps.MPS, len(ownedTrain))
-	total := nt + len(ownedTrain)
-	combined := make([][]float64, total)
-	for a := 0; a < nt; a++ {
-		combined[a] = testX[ownedTest[a]]
-	}
-	for b := range ownedTrain {
-		combined[nt+b] = trainX[ownedTrain[b]]
-	}
-	shardOf := func(a int) (label string, row int) {
-		if a < nt {
-			return "test", ownedTest[a]
-		}
-		return "train", ownedTrain[a-nt]
-	}
-	hits := make([]bool, total)
 	var simErr error
 	simSp := sp.Child("simulate")
 	st.SimTime = timed(func() {
-		band := q.BandWidth()
-		if band < 1 {
-			band = 1
+		simErr = simulateOwned(q, testX, ownedTest, testStates, pl, st, "test", nil, simSp)
+		if simErr == nil {
+			simErr = simulateOwned(q, trainX, ownedTrain, trainStates, pl, st, "train", nil, simSp)
 		}
-		bands := (total + band - 1) / band
-		errsB := make([]error, bands)
-		pl.runSlot(bands, func(slot, bi int) {
-			lo := bi * band
-			hi := lo + band
-			if hi > total {
-				hi = total
-			}
-			sts, bandHits, err := q.StateBand(combined[lo:hi], pl.batchWorkspace(slot), simSp)
-			if err != nil {
-				label, row := shardOf(lo)
-				errsB[bi] = simErrf(p, label, row, err)
-				rowSp := simSp.Child("row")
-				rowSp.SetAttr("row", row)
-				rowSp.SetAttr("shard", label)
-				rowSp.SetAttr("error", err.Error())
-				rowSp.End()
-				return
-			}
-			for a := lo; a < hi; a++ {
-				label, row := shardOf(a)
-				rowSp := simSp.Child("row")
-				rowSp.SetAttr("row", row)
-				rowSp.SetAttr("shard", label)
-				rowSp.SetAttr("hit", bandHits[a-lo])
-				rowSp.SetAttr("chi", sts[a-lo].MaxBond())
-				rowSp.End()
-				if a < nt {
-					testStates[a] = sts[a-lo]
-				} else {
-					trainStates[a-nt] = sts[a-lo]
-				}
-				hits[a] = bandHits[a-lo]
-			}
-		})
-		simErr = firstError(errsB)
 	})
 	simSp.End()
-	tallyHits(st, hits)
 	if simErr != nil {
 		failed.Store(true)
 	}
@@ -182,7 +126,7 @@ func crossProcRR(q *kernel.Quantum, testX, trainX [][]float64, gram [][]float64,
 		var remote []*mps.MPS
 		var uerr error
 		st.CommTime += timed(func() {
-			remote, uerr = unmarshalShard(in, q.Config)
+			remote, uerr = unmarshalShard(in, len(trainX), q.Config)
 		})
 		if uerr != nil {
 			return uerr

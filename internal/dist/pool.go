@@ -21,11 +21,10 @@ type pool struct {
 	// round-robin Gram makes one call per ring step; re-warming buffers
 	// each step would forfeit the zero-realloc property).
 	ws []*mps.Workspace
-	// batch holds one banded-engine workspace per worker slot (each slot's
-	// per-row gate-engine workspaces live inside it), threaded through the
-	// shard-local band materialisation loops so cache misses simulate
-	// through warmed zero-realloc buffers.
-	batch []*mps.BatchSimWorkspace
+	// sim holds one gate-engine workspace per worker slot, threaded through
+	// the shard materialisation loops so cache misses simulate through
+	// warmed zero-realloc buffers.
+	sim []*mps.SimWorkspace
 }
 
 // procPool sizes a process's worker pool: the k simulated processes share
@@ -41,7 +40,7 @@ func procPool(q *kernel.Quantum, k int) pool {
 	if w < 1 {
 		w = 1
 	}
-	return pool{workers: w, ws: make([]*mps.Workspace, w), batch: make([]*mps.BatchSimWorkspace, w)}
+	return pool{workers: w, ws: make([]*mps.Workspace, w), sim: make([]*mps.SimWorkspace, w)}
 }
 
 // workspace returns worker slot g's reusable workspace. runWS calls never
@@ -57,16 +56,16 @@ func (pl pool) workspace(g int) *mps.Workspace {
 	return pl.ws[g]
 }
 
-// batchWorkspace returns worker slot g's reusable banded-engine workspace,
+// simWorkspace returns worker slot g's reusable gate-engine workspace,
 // under the same single-goroutine-per-slot discipline as workspace.
-func (pl pool) batchWorkspace(g int) *mps.BatchSimWorkspace {
-	if pl.batch == nil {
-		return mps.NewBatchSimWorkspace()
+func (pl pool) simWorkspace(g int) *mps.SimWorkspace {
+	if pl.sim == nil {
+		return mps.NewSimWorkspace()
 	}
-	if pl.batch[g] == nil {
-		pl.batch[g] = mps.NewBatchSimWorkspace()
+	if pl.sim[g] == nil {
+		pl.sim[g] = mps.NewSimWorkspace()
 	}
-	return pl.batch[g]
+	return pl.sim[g]
 }
 
 // run invokes f(i) for every i in [0,n), spreading the calls over the pool's
@@ -130,63 +129,39 @@ func (pl pool) runErr(n int, f func(i int) error) error {
 }
 
 // simulateOwned materialises the states for the owned global indices of X
-// through the cache-aware banded kernel path: the shard is cut into bands of
-// q.BandWidth() rows, pool workers claim whole bands, and each band resolves
-// through one batched cache lookup + one lockstep engine pass (one fused
-// GEMM dispatch per gate position for the band). Results land in dst
-// (parallel to owned) with per-process simulation/hit counts recorded into
-// st. costs (parallel to owned; nil to skip) receives each row's share of
-// its band's measured wall-clock — always positive, the per-row ground truth
-// that calibrates EstimateRowCost. sp (nil to skip) receives one child span
-// per row carrying the row index, cache outcome and resulting χ. Returns the
-// first error by band; label names the shard in errors.
+// through the cache-aware per-row kernel path: pool workers claim one row at
+// a time and simulate it through their slot's SimWorkspace. Results land in
+// dst (parallel to owned) with per-process simulation/hit counts recorded
+// into st. costs (parallel to owned; nil to skip) receives each row's own
+// measured wall-clock — always positive, the per-row ground truth that
+// calibrates EstimateRowCost. sp (nil to skip) receives one child span per
+// row carrying the row index, shard label, cache outcome and resulting χ.
+// Returns the first error by owned position; label names the shard in
+// errors.
 func simulateOwned(q *kernel.Quantum, X [][]float64, owned []int, dst []*mps.MPS, pl pool, st *ProcStats, label string, costs []time.Duration, sp *obs.Span) error {
-	n := len(owned)
-	if n == 0 {
-		return nil
-	}
-	band := q.BandWidth()
-	if band < 1 {
-		band = 1
-	}
-	bands := (n + band - 1) / band
-	hits := make([]bool, n)
-	errs := make([]error, bands)
-	pl.runSlot(bands, func(slot, bi int) {
-		lo := bi * band
-		hi := lo + band
-		if hi > n {
-			hi = n
-		}
-		rows := make([][]float64, hi-lo)
-		for a := lo; a < hi; a++ {
-			rows[a-lo] = X[owned[a]]
+	hits := make([]bool, len(owned))
+	errs := make([]error, len(owned))
+	pl.runSlot(len(owned), func(slot, a int) {
+		rowSp := sp.Child("row")
+		rowSp.SetAttr("row", owned[a])
+		if label != "" {
+			rowSp.SetAttr("shard", label)
 		}
 		t0 := time.Now()
-		sts, bandHits, err := q.StateBand(rows, pl.batchWorkspace(slot), sp)
-		perRow := time.Since(t0) / time.Duration(hi-lo)
-		if perRow <= 0 {
-			perRow = time.Nanosecond
+		s, hit, err := q.StateCachedSpan(X[owned[a]], pl.simWorkspace(slot), rowSp)
+		if costs != nil {
+			costs[a] = max(time.Since(t0), time.Nanosecond)
 		}
 		if err != nil {
-			errs[bi] = simErrf(st.Rank, label, owned[lo], err)
-			rowSp := sp.Child("row")
-			rowSp.SetAttr("row", owned[lo])
 			rowSp.SetAttr("error", err.Error())
 			rowSp.End()
+			errs[a] = simErrf(st.Rank, label, owned[a], err)
 			return
 		}
-		for a := lo; a < hi; a++ {
-			dst[a], hits[a] = sts[a-lo], bandHits[a-lo]
-			if costs != nil {
-				costs[a] = perRow
-			}
-			rowSp := sp.Child("row")
-			rowSp.SetAttr("row", owned[a])
-			rowSp.SetAttr("hit", bandHits[a-lo])
-			rowSp.SetAttr("chi", sts[a-lo].MaxBond())
-			rowSp.End()
-		}
+		rowSp.SetAttr("hit", hit)
+		rowSp.SetAttr("chi", s.MaxBond())
+		rowSp.End()
+		dst[a], hits[a] = s, hit
 	})
 	tallyHits(st, hits)
 	return firstError(errs)

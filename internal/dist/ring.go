@@ -56,9 +56,34 @@ func marshalShard(from int, indices []int, states []*mps.MPS) (Shard, error) {
 	return s, nil
 }
 
+// ShardIndexError reports a received shard that carries a row index outside
+// the kernel being computed: a corrupt or hostile frame, refused before any
+// of its states is decoded or any Gram cell written.
+type ShardIndexError struct {
+	// From is the origin rank the shard claims.
+	From int
+	// Index is the offending row index.
+	Index int
+	// Rows is the row count valid indices must stay below.
+	Rows int
+}
+
+func (e *ShardIndexError) Error() string {
+	return fmt.Sprintf("dist: shard from proc %d carries row %d, outside [0, %d)", e.From, e.Index, e.Rows)
+}
+
 // unmarshalShard reconstructs the states of a received shard, attaching the
-// receiver's simulator configuration.
-func unmarshalShard(s Shard, cfg mps.Config) ([]*mps.MPS, error) {
+// receiver's simulator configuration. Every index must lie in [0, rows),
+// the rows the receiver computes over; anything else is a *ShardIndexError.
+func unmarshalShard(s Shard, rows int, cfg mps.Config) ([]*mps.MPS, error) {
+	if len(s.Indices) != len(s.Blobs) {
+		return nil, fmt.Errorf("dist: shard from proc %d carries %d indices for %d states", s.From, len(s.Indices), len(s.Blobs))
+	}
+	for _, j := range s.Indices {
+		if j < 0 || j >= rows {
+			return nil, &ShardIndexError{From: s.From, Index: j, Rows: rows}
+		}
+	}
 	states := make([]*mps.MPS, len(s.Blobs))
 	for a, blob := range s.Blobs {
 		st, err := mps.UnmarshalBinary(blob, cfg)

@@ -141,7 +141,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 		var remote []*mps.MPS
 		var uerr error
 		st.CommTime += timed(func() {
-			remote, uerr = unmarshalShard(in, q.Config)
+			remote, uerr = unmarshalShard(in, len(X), q.Config)
 		})
 		if uerr != nil {
 			return uerr

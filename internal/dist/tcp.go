@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,10 +56,12 @@ func (TCPTransport) Name() string { return "tcp" }
 const maxTCPRanks = 128
 
 // Decode sanity bounds: a corrupt or hostile stream must fail cleanly, not
-// allocate unbounded memory.
+// allocate unbounded memory. frameAllocStep is the most readFrame allocates
+// on the strength of a length prefix before the bytes behind it arrive.
 const (
 	maxFrameStates    = 1 << 20
 	maxStatePayload   = 1 << 31
+	frameAllocStep    = 256 << 10
 	tcpNetworkAddress = "127.0.0.1:0"
 )
 
@@ -334,8 +337,12 @@ func writeFrame(w *bufio.Writer, s Shard) error {
 }
 
 // readFrame decodes one shard frame, with sanity bounds so a corrupt stream
-// fails instead of allocating wildly.
-func readFrame(r *bufio.Reader) (Shard, error) {
+// fails instead of allocating wildly. The length prefixes are claims, not
+// facts: at most frameAllocStep bytes are allocated on their word alone, and
+// anything larger grows only as the bytes actually arrive, so a short
+// header announcing 2²⁰ states or a 2 GiB payload costs a few hundred KiB
+// before it fails.
+func readFrame(r io.Reader) (Shard, error) {
 	var hdr [shardHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Shard{}, err
@@ -345,22 +352,46 @@ func readFrame(r *bufio.Reader) (Shard, error) {
 	if count > maxFrameStates {
 		return Shard{}, fmt.Errorf("implausible state count %d", count)
 	}
-	s := Shard{From: from, Indices: make([]int, count), Blobs: make([][]byte, count)}
-	for a := range s.Blobs {
+	// An index costs 8 bytes and a blob header 24, so this many records fit
+	// the up-front budget; a larger count grows by append.
+	n := min(int(count), frameAllocStep/32)
+	s := Shard{From: from, Indices: make([]int, 0, n), Blobs: make([][]byte, 0, n)}
+	for range count {
 		var rec [stateHeaderBytes]byte
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return Shard{}, err
 		}
-		s.Indices[a] = int(binary.LittleEndian.Uint64(rec[0:8]))
 		size := binary.LittleEndian.Uint64(rec[8:16])
 		if size > maxStatePayload {
 			return Shard{}, fmt.Errorf("implausible state payload %d bytes", size)
 		}
-		blob := make([]byte, size)
-		if _, err := io.ReadFull(r, blob); err != nil {
+		blob, err := readBlob(r, int(size))
+		if err != nil {
 			return Shard{}, err
 		}
-		s.Blobs[a] = blob
+		s.Indices = append(s.Indices, int(binary.LittleEndian.Uint64(rec[0:8])))
+		s.Blobs = append(s.Blobs, blob)
 	}
 	return s, nil
+}
+
+// readBlob reads a size-byte payload: in one exact allocation when size is
+// within frameAllocStep (every real state payload so far), otherwise in
+// frameAllocStep chunks appended as they are read.
+func readBlob(r io.Reader, size int) ([]byte, error) {
+	if size <= frameAllocStep {
+		blob := make([]byte, size)
+		_, err := io.ReadFull(r, blob)
+		return blob, err
+	}
+	var blob []byte
+	for len(blob) < size {
+		chunk := min(size-len(blob), frameAllocStep)
+		blob = slices.Grow(blob, chunk)
+		if _, err := io.ReadFull(r, blob[len(blob):len(blob)+chunk]); err != nil {
+			return nil, err
+		}
+		blob = blob[:len(blob)+chunk]
+	}
+	return blob, nil
 }

@@ -298,10 +298,17 @@ func TestObservedRowCosts(t *testing.T) {
 		if len(res.ObservedRowCosts) != len(X) {
 			t.Fatalf("%v: %d observed costs for %d rows", strat, len(res.ObservedRowCosts), len(X))
 		}
+		distinct := map[time.Duration]bool{}
 		for i, c := range res.ObservedRowCosts {
 			if c <= 0 {
 				t.Fatalf("%v: row %d observed cost %v, want > 0", strat, i, c)
 			}
+			distinct[c] = true
+		}
+		// Each row is timed on its own: with more distinct costs than ranks,
+		// some rank's rows cannot all share one value.
+		if len(distinct) <= 3 {
+			t.Fatalf("%v: %d distinct costs over %d rows on 3 ranks, want each row timed itself", strat, len(distinct), len(X))
 		}
 	}
 	gramRes, err := ComputeGram(q, X[:8], Options{Procs: 2})

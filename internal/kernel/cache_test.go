@@ -67,11 +67,11 @@ func TestStateCachedHitMiss(t *testing.T) {
 	q := cachedQuantum(5)
 	x := testData(rng, 1, 5)[0]
 
-	st1, hit, err := q.StateCached(x)
+	st1, hit, err := q.StateCachedSpan(x, nil, nil)
 	if err != nil || hit {
 		t.Fatalf("first request: hit=%v err=%v", hit, err)
 	}
-	st2, hit, err := q.StateCached(x)
+	st2, hit, err := q.StateCachedSpan(x, nil, nil)
 	if err != nil || !hit {
 		t.Fatalf("second request: hit=%v err=%v", hit, err)
 	}
@@ -95,18 +95,18 @@ func TestFingerprintInvalidation(t *testing.T) {
 		func() { q.Config.TruncationBudget = 1e-8 },
 		func() { q.Config.Renormalize = true },
 	}
-	if _, hit, err := q.StateCached(x); err != nil || hit {
+	if _, hit, err := q.StateCachedSpan(x, nil, nil); err != nil || hit {
 		t.Fatalf("initial request: hit=%v err=%v", hit, err)
 	}
 	for i, mutate := range mutations {
 		mutate()
-		if _, hit, err := q.StateCached(x); err != nil {
+		if _, hit, err := q.StateCachedSpan(x, nil, nil); err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
 		} else if hit {
 			t.Fatalf("mutation %d: stale cache hit after context change", i)
 		}
 		// The same context must hit on repeat.
-		if _, hit, err := q.StateCached(x); err != nil || !hit {
+		if _, hit, err := q.StateCachedSpan(x, nil, nil); err != nil || !hit {
 			t.Fatalf("mutation %d repeat: hit=%v err=%v", i, hit, err)
 		}
 	}
@@ -118,11 +118,11 @@ func TestConfigDefaultsShareFingerprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	q := cachedQuantum(5)
 	x := testData(rng, 1, 5)[0]
-	if _, _, err := q.StateCached(x); err != nil {
+	if _, _, err := q.StateCachedSpan(x, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	q.Config.TruncationBudget = 1e-16 // the documented default of the zero value
-	if _, hit, err := q.StateCached(x); err != nil || !hit {
+	if _, hit, err := q.StateCachedSpan(x, nil, nil); err != nil || !hit {
 		t.Fatalf("explicit default budget missed the zero-config entry: hit=%v err=%v", hit, err)
 	}
 }

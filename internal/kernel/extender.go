@@ -76,7 +76,7 @@ func (e *GramExtender) stateFor(x []float64, sw *mps.SimWorkspace) (*mps.MPS, er
 			return st, nil
 		}
 	}
-	st, _, err := e.q.StateCachedWS(x, sw)
+	st, _, err := e.q.StateCachedSpan(x, sw, nil)
 	return st, err
 }
 

@@ -34,13 +34,6 @@ type Quantum struct {
 	// Workers bounds simulation/inner-product concurrency; ≤0 selects
 	// GOMAXPROCS.
 	Workers int
-	// BatchBand is the banded materialisation width: States (and everything
-	// built on it) simulates rows in lockstep bands of this many circuits,
-	// fusing each gate position's theta contractions into one batched GEMM
-	// dispatch. 0 selects automatically from the core count and the cache
-	// budget (see batchBand); 1 degenerates to row-at-a-time simulation.
-	// Results are bit-identical at every width.
-	BatchBand int
 	// Cache, when non-nil, memoises simulated states across State/States/
 	// Gram/Cross calls (and across the distributed strategies in
 	// internal/dist). Keys fingerprint the ansatz, the simulator
@@ -108,32 +101,21 @@ func (q *Quantum) simulate(x []float64, sw *mps.SimWorkspace) (*mps.MPS, error) 
 // MPS (from the cache when one is configured and warm). The data point must
 // already be rescaled into (0,2).
 func (q *Quantum) State(x []float64) (*mps.MPS, error) {
-	st, _, err := q.StateCached(x)
+	st, _, err := q.StateCachedSpan(x, nil, nil)
 	return st, err
 }
 
-// StateCached is State with a hit report: hit is true when the simulation
-// was avoided, either because the state was resident in the cache or
-// because a concurrent caller was already simulating the same key (the
-// cache deduplicates in-flight work). With no cache configured it always
-// simulates and reports a miss.
-func (q *Quantum) StateCached(x []float64) (st *mps.MPS, hit bool, err error) {
-	return q.StateCachedWS(x, nil)
-}
-
-// StateCachedWS is StateCached with a caller-owned simulation workspace:
-// worker goroutines that materialise many rows (kernel.States, the dist
-// strategies' shard loops) pass their per-worker workspace so cache misses
-// simulate through warmed buffers. A nil workspace lets the state allocate
-// its own.
-func (q *Quantum) StateCachedWS(x []float64, sw *mps.SimWorkspace) (st *mps.MPS, hit bool, err error) {
-	return q.StateCachedSpan(x, sw, nil)
-}
-
-// StateCachedSpan is StateCachedWS with trace instrumentation: the cache
-// lookup outcome (hit / in-flight join / compute, with durations) is recorded
-// as events on sp. Spans thread through here as explicit parameters rather
-// than contexts because this is the per-row hot path.
+// StateCachedSpan is the full per-row form of State, the one path every row
+// of every kernel, distributed strategy and serving batch is simulated
+// through. hit is true when the simulation was avoided, either because the
+// state was resident in the cache or because a concurrent caller was
+// already simulating the same key (the cache deduplicates in-flight work);
+// with no cache configured it always simulates and reports a miss. sw, when
+// non-nil, is the caller's per-worker simulation workspace, so cache misses
+// simulate through warmed buffers. sp, when non-nil, receives the cache
+// lookup outcome (hit / in-flight join / compute, with durations) as
+// events; spans thread through here as explicit parameters rather than
+// contexts because this is the per-row hot path.
 func (q *Quantum) StateCachedSpan(x []float64, sw *mps.SimWorkspace, sp *obs.Span) (st *mps.MPS, hit bool, err error) {
 	if q.Cache == nil {
 		st, err = q.simulate(x, sw)
@@ -143,14 +125,44 @@ func (q *Quantum) StateCachedSpan(x []float64, sw *mps.SimWorkspace, sp *obs.Spa
 	return q.Cache.GetOrComputeTraced(key, sp, func() (*mps.MPS, error) { return q.simulate(x, sw) })
 }
 
-// States simulates every row of X — the linear-cost stage of the framework.
-// It runs the banded engine (StatesBatched): workers claim whole bands of
-// rows through an atomic cursor and each band is materialised in lockstep
-// with one fused GEMM dispatch per gate position. A 100k-row dataset still
-// costs 100k simulations but only a handful of goroutines — and far fewer
-// backend dispatches.
+// BandWidth is the number of rows a States worker claims per step. It is
+// always 1: every worker claims one row at a time, so no core idles while
+// another still holds unclaimed rows.
+func (q *Quantum) BandWidth() int { return 1 }
+
+// States simulates every row of X on a bounded worker pool — the
+// linear-cost stage of the framework. Exactly min(workers, len(X))
+// goroutines are launched; each owns one SimWorkspace and claims rows one at
+// a time through an atomic cursor, so a 100k-row dataset costs 100k
+// simulations but only a handful of goroutines. Every state is the one
+// State would return for its row.
 func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
-	return q.StatesBatched(X)
+	states := make([]*mps.MPS, len(X))
+	errs := make([]error, len(X))
+	w := min(q.workers(), len(X))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < w; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sw := mps.NewSimWorkspace()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(X) {
+					return
+				}
+				states[i], _, errs[i] = q.StateCachedSpan(X[i], sw, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("kernel: state %d: %w", i, err)
+		}
+	}
+	return states, nil
 }
 
 // Gram computes the full symmetric Gram matrix for X: simulate each state

@@ -1,9 +1,12 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -38,6 +41,65 @@ func TestStateNormalised(t *testing.T) {
 	}
 	if math.Abs(st.Norm()-1) > 1e-9 {
 		t.Fatalf("state norm %v", st.Norm())
+	}
+}
+
+// TestStatesBitIdenticalToState: the worker pool is a scheduling choice
+// only, so for fewer, as many and more rows than workers each state States
+// returns holds exactly the tensors per-row State produces for its row, and
+// a wrong-width row fails the call instead of hanging or panicking.
+func TestStatesBitIdenticalToState(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	X := testData(rng, 7, 5)
+	want := make([]*mps.MPS, len(X))
+	for i, x := range X {
+		st, err := defaultQuantum(5).State(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = st
+	}
+	for _, rows := range []int{1, 3, 7} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("rows%d_workers%d", rows, workers), func(t *testing.T) {
+				q := defaultQuantum(5)
+				q.Workers = workers
+				got, err := q.States(X[:rows])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != rows {
+					t.Fatalf("got %d states for %d rows", len(got), rows)
+				}
+				for i := range got {
+					for s, gs := range got[i].Sites {
+						ws := want[i].Sites[s]
+						if !slices.Equal(gs.Shape, ws.Shape) || !slices.Equal(gs.Data, ws.Data) {
+							t.Fatalf("row %d site %d differs from State", i, s)
+						}
+					}
+				}
+				bad := append(slices.Clone(X[:rows]), []float64{1, 1})
+				if _, err := q.States(bad); err == nil {
+					t.Fatal("wrong-width row must error")
+				}
+			})
+		}
+	}
+}
+
+// TestStatesErrorNamesRow: a failing row surfaces an error that names the
+// row rather than hanging or panicking.
+func TestStatesErrorNamesRow(t *testing.T) {
+	q := defaultQuantum(4)
+	q.Workers = 2
+	X := [][]float64{{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1}} // row 2 has the wrong width
+	_, err := q.States(X)
+	if err == nil {
+		t.Fatal("wrong-width row must error")
+	}
+	if !strings.Contains(err.Error(), "state 2") {
+		t.Fatalf("error %q does not name row 2", err)
 	}
 }
 

@@ -87,47 +87,3 @@ func TestTiledMatMulBitIdentical(t *testing.T) {
 		bitEqual(t, "MatMulAdjAInto", MatMulAdjAInto(&adj, at, b), refAdjMul(at, b))
 	}
 }
-
-// TestMatMulBatchIntoMatchesSingle: the fused batch call is semantically a
-// loop of MatMulInto — same products, same bits.
-func TestMatMulBatchIntoMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	ops := make([]MatMulOp, 7)
-	want := make([]*Matrix, len(ops))
-	for i := range ops {
-		m, k, n := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(30)
-		a, b := Random(rng, m, k), Random(rng, k, n)
-		ops[i] = MatMulOp{Dst: &Matrix{}, A: a, B: b}
-		want[i] = refMul(a, b)
-	}
-	MatMulBatchInto(ops)
-	for i := range ops {
-		bitEqual(t, "batch op", ops[i].Dst, want[i])
-	}
-}
-
-// TestMatMulBatchIntoWorkersBitIdentical: the worker fan-out distributes
-// whole ops, so any worker count yields exactly the serial batch result.
-func TestMatMulBatchIntoWorkersBitIdentical(t *testing.T) {
-	mk := func() []MatMulOp {
-		rng := rand.New(rand.NewSource(23))
-		ops := make([]MatMulOp, 9)
-		for i := range ops {
-			m, k, n := 1+rng.Intn(20), 1+rng.Intn(20), 1+rng.Intn(20)
-			ops[i] = MatMulOp{Dst: &Matrix{}, A: Random(rng, m, k), B: Random(rng, k, n)}
-		}
-		return ops
-	}
-	serial := mk()
-	MatMulBatchInto(serial)
-	for _, workers := range []int{0, 1, 2, 4, 32} {
-		par := mk()
-		MatMulBatchIntoWorkers(par, workers)
-		for i := range par {
-			bitEqual(t, "workers op", par[i].Dst, serial[i].Dst)
-		}
-	}
-	// Degenerate batches must be safe.
-	MatMulBatchInto(nil)
-	MatMulBatchIntoWorkers(nil, 4)
-}

@@ -9,8 +9,7 @@ import "math/cmplx"
 // only, so the Householder Q build runs on an m×keep panel (replaying only
 // the first keep reflectors) instead of m×n. At a saturated bond dimension
 // the cut keeps half the spectrum (keep = χ out of n = 2χ), which makes the
-// deferred build several times cheaper than the eager one — the single
-// largest win of the banded engine's linalg layer. Every value produced is
+// deferred build several times cheaper than the eager one. Every value produced is
 // bit-identical to the eager SVDTrunc path: the spectrum comes from the same
 // full QR factor stage, and the kept Q panel is exactly the leading block of
 // the full thin Q.

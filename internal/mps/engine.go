@@ -150,24 +150,9 @@ func fuseGate2(theta []complex128, g []complex128, l, r int) {
 // pass, run the workspace-backed truncation SVD, and write the truncated
 // factors straight into the sites' grow-only buffers — U reshaped into site
 // q, and diag(S)·V† absorbed in place into site q+1 (no ConjTranspose copy,
-// no intermediate Truncate). It is the serial composition of prepTheta2,
-// the theta contraction, and finishTheta2; ApplyCircuitsBanded runs the same
-// three stages with the contraction of a whole band fused into one
-// MatMulBatchInto dispatch.
+// no intermediate Truncate).
 func (m *MPS) apply2Engine(g *linalg.Matrix, q int) {
 	ws := m.workspace()
-	av, bv := m.prepTheta2(ws, q)
-	m.cfg.Backend.MatMulInto(&ws.theta, av, bv)
-	m.finishTheta2(ws, g, q)
-}
-
-// prepTheta2 runs everything of the two-qubit engine path that precedes the
-// theta contraction: canonicalise to q and point the workspace's header views
-// at the two site tensors. The returned views (aliasing ws.aview/ws.bview)
-// are the operands of theta[(l,s_q),(s_q1,r)] = Σ_k a·b, which the caller
-// contracts into ws.theta — serially (apply2Engine) or as one op of a banded
-// MatMulBatchInto.
-func (m *MPS) prepTheta2(ws *SimWorkspace, q int) (av, bv *linalg.Matrix) {
 	if m.cfg.SkipCanonicalization {
 		m.canonical = false
 	} else {
@@ -175,17 +160,11 @@ func (m *MPS) prepTheta2(ws *SimWorkspace, q int) (av, bv *linalg.Matrix) {
 	}
 	a, b := m.Sites[q], m.Sites[q+1] // (l,2,k) and (k,2,r)
 	l, k, r := a.Shape[0], a.Shape[2], b.Shape[2]
-	av = viewMatrix(&ws.aview, 2*l, k, a.Data)
-	bv = viewMatrix(&ws.bview, k, 2*r, b.Data)
-	return av, bv
-}
 
-// finishTheta2 runs everything of the two-qubit engine path after the theta
-// contraction has landed in ws.theta: fuse the gate, truncate via the
-// two-phase SVD, and write the factors back into the site buffers.
-func (m *MPS) finishTheta2(ws *SimWorkspace, g *linalg.Matrix, q int) {
-	a, b := m.Sites[q], m.Sites[q+1]
-	l, r := a.Shape[0], b.Shape[2]
+	// theta[(l, s_q), (s_q1, r)] = Σ_k a[l, s_q, k] · b[k, s_q1, r]
+	av := viewMatrix(&ws.aview, 2*l, k, a.Data)
+	bv := viewMatrix(&ws.bview, k, 2*r, b.Data)
+	m.cfg.Backend.MatMulInto(&ws.theta, av, bv)
 	fuseGate2(ws.theta.Data, g.Data, l, r)
 
 	// Two-phase truncation SVD: the cut is decided on the full spectrum,

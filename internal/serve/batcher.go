@@ -249,7 +249,6 @@ func (s *Batcher) Stats() Stats {
 		Cache:             s.fw.CacheStats(),
 		Comm:              s.fw.CommStats(),
 		RowCosts:          s.fw.RowCostStats(),
-		BatchBand:         s.fw.BandWidth(),
 		RequestSeconds:    s.reqHist.Snapshot(),
 		QueueWaitSeconds:  s.qwHist.Snapshot(),
 		ConfidenceBuckets: s.confHist.Snapshot(),

@@ -89,10 +89,6 @@ type Config struct {
 	// Procs overrides the saved per-model simulated process count (0 keeps
 	// each model's saved setting).
 	Procs int
-	// BatchBand overrides the saved per-model banded materialisation width
-	// (0 keeps each model's saved setting; the kernel then auto-sizes from
-	// the core count and cache share).
-	BatchBand int
 	// Batch is the per-model micro-batching configuration.
 	Batch serve.Config
 }
@@ -187,9 +183,6 @@ func (r *Registry) load(path string) (*Instance, error) {
 		}
 		if r.cfg.Procs > 0 {
 			o.Procs = r.cfg.Procs
-		}
-		if r.cfg.BatchBand > 0 {
-			o.BatchBand = r.cfg.BatchBand
 		}
 	})
 	if err != nil {

@@ -156,10 +156,6 @@ type Stats struct {
 	// across every kernel computation the model's framework has run — the
 	// EstimateRowCost calibration signal, surfaced in /stats.
 	RowCosts core.RowCostSummary
-	// BatchBand is the resolved banded materialisation width: how many rows
-	// of a coalesced batch the kernel simulates in lockstep per fused GEMM
-	// dispatch.
-	BatchBand int
 	// RequestSeconds is the end-to-end request latency histogram (enqueue to
 	// scatter) and QueueWaitSeconds the queue-wait component (enqueue to
 	// batch dispatch), both in cumulative Prometheus form — the /metrics

@@ -27,7 +27,6 @@ package statecache
 
 import (
 	"container/list"
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -328,137 +327,6 @@ func (c *Cache) GetOrComputeTraced(k Key, sp *obs.Span, compute func() (*mps.MPS
 	close(cl.done)
 	sp.Event("cache_compute", obs.KV("us", elapsed.Microseconds()))
 	return cl.st, false, cl.err
-}
-
-// GetOrComputeBatch is the banded form of GetOrCompute: it classifies every
-// key of a band under one lock acquisition, runs compute ONCE for all misses
-// (receiving their indices into keys, so a banded simulator can materialise
-// them through one fused band), and joins resident entries, other callers'
-// in-flight simulations, and within-band duplicate keys without recomputing.
-// Counter semantics match a serial GetOrCompute loop: every avoided
-// simulation — residency, in-flight join, or a duplicate of an earlier band
-// index — counts as a hit, and each computed key as a miss. The band's own
-// misses are registered as in-flight before compute runs, so concurrent
-// callers join them instead of duplicating work. A compute error is
-// propagated to every waiter and to the caller; nothing is cached.
-func (c *Cache) GetOrComputeBatch(keys []Key, sp *obs.Span, compute func(miss []int) ([]*mps.MPS, error)) (sts []*mps.MPS, hits int, err error) {
-	sts = make([]*mps.MPS, len(keys))
-	if c == nil {
-		t0 := time.Now()
-		miss := make([]int, len(keys))
-		for i := range miss {
-			miss[i] = i
-		}
-		computed, err := compute(miss)
-		if err != nil {
-			return nil, 0, err
-		}
-		copy(sts, computed)
-		sp.Event("cache_batch", obs.KV("computes", len(keys)), obs.KV("us", time.Since(t0).Microseconds()), obs.KV("uncached", true))
-		return sts, 0, nil
-	}
-
-	type join struct {
-		idx int
-		cl  *call
-	}
-	var (
-		miss  []int       // indices this call computes
-		own   []*call     // the in-flight calls registered for them
-		joins []join      // indices joining another caller's in-flight call
-		dups  []int       // indices whose key duplicates an earlier miss
-		first map[Key]int // key → position in miss
-	)
-	c.mu.Lock()
-	for i, k := range keys {
-		if el, ok := c.items[k]; ok {
-			c.ll.MoveToFront(el)
-			c.hits++
-			hits++
-			sts[i] = el.Value.(*entry).st
-			continue
-		}
-		if cl, ok := c.inflight[k]; ok {
-			c.hits++
-			hits++
-			joins = append(joins, join{idx: i, cl: cl})
-			continue
-		}
-		if first == nil {
-			first = make(map[Key]int)
-		}
-		if _, ok := first[k]; ok {
-			// A duplicate of a miss earlier in this band: the band's own
-			// compute produces it once and this index shares the result.
-			c.hits++
-			hits++
-			dups = append(dups, i)
-			continue
-		}
-		cl := &call{done: make(chan struct{})}
-		c.inflight[k] = cl
-		c.misses++
-		first[k] = len(miss)
-		miss = append(miss, i)
-		own = append(own, cl)
-	}
-	c.mu.Unlock()
-
-	var computeUS, waitUS int64
-	if len(miss) > 0 {
-		t0 := time.Now()
-		computed, cerr := compute(miss)
-		elapsed := time.Since(t0)
-		computeUS = elapsed.Microseconds()
-		if cerr == nil && len(computed) != len(miss) {
-			cerr = fmt.Errorf("statecache: batch compute returned %d states for %d misses", len(computed), len(miss))
-		}
-		c.mu.Lock()
-		c.computeWall += elapsed
-		for j, cl := range own {
-			k := keys[miss[j]]
-			delete(c.inflight, k)
-			if cerr == nil {
-				cl.st = computed[j]
-				c.put(k, cl.st)
-			} else {
-				cl.err = cerr
-			}
-		}
-		c.mu.Unlock()
-		for j, cl := range own {
-			close(cl.done)
-			if cerr == nil {
-				sts[miss[j]] = cl.st
-			}
-		}
-		if cerr != nil {
-			err = cerr
-		}
-	}
-	for _, i := range dups {
-		sts[i] = sts[miss[first[keys[i]]]]
-	}
-	for _, jn := range joins {
-		t0 := time.Now()
-		<-jn.cl.done
-		wait := time.Since(t0)
-		waitUS += wait.Microseconds()
-		c.mu.Lock()
-		c.waitWall += wait
-		c.mu.Unlock()
-		if jn.cl.err != nil && err == nil {
-			err = jn.cl.err
-		}
-		sts[jn.idx] = jn.cl.st
-	}
-	sp.Event("cache_batch",
-		obs.KV("hits", hits), obs.KV("computes", len(miss)), obs.KV("joins", len(joins)),
-		obs.KV("us", computeUS), obs.KV("wait_us", waitUS))
-	if err != nil {
-		return nil, hits, err
-	}
-	return sts, hits, nil
 }
 
 // Stats returns a consistent snapshot of the counters.

@@ -435,130 +435,3 @@ func TestProbeCounterNeutralOnAbsence(t *testing.T) {
 		t.Fatal("nil cache probe reported a hit")
 	}
 }
-
-// TestGetOrComputeBatchClassification: one batch mixing resident keys,
-// within-band duplicates and true misses must compute only the misses (as
-// one call) and count exactly like a serial GetOrCompute loop.
-func TestGetOrComputeBatchClassification(t *testing.T) {
-	c := New(1 << 20)
-	resident := zeroState(4)
-	c.Put(key(0), resident)
-	s0 := c.Stats()
-
-	var calls, computed int
-	keys := []Key{key(0), key(1), key(2), key(1)} // resident, miss, miss, dup-of-miss
-	sts, hits, err := c.GetOrComputeBatch(keys, nil, func(miss []int) ([]*mps.MPS, error) {
-		calls++
-		computed = len(miss)
-		if want := []int{1, 2}; len(miss) != 2 || miss[0] != want[0] || miss[1] != want[1] {
-			t.Fatalf("miss indices %v, want %v", miss, want)
-		}
-		return []*mps.MPS{zeroState(4), zeroState(4)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 || computed != 2 {
-		t.Fatalf("compute ran %d times over %d misses, want once over 2", calls, computed)
-	}
-	if hits != 2 {
-		t.Fatalf("hits = %d, want 2 (resident + within-band duplicate)", hits)
-	}
-	if sts[0] != resident {
-		t.Fatal("resident entry not returned")
-	}
-	if sts[1] == nil || sts[1] != sts[3] {
-		t.Fatal("duplicate key must share the computed state")
-	}
-	if d := c.Stats(); d.Hits-s0.Hits != 2 || d.Misses-s0.Misses != 2 {
-		t.Fatalf("counter deltas %+v vs %+v", d, s0)
-	}
-	// The misses are now resident.
-	if _, ok := c.Get(key(1)); !ok {
-		t.Fatal("computed state was not retained")
-	}
-}
-
-// TestGetOrComputeBatchJoinsInflight: a batch whose key is already being
-// computed by another caller must join that computation, not duplicate it.
-func TestGetOrComputeBatchJoinsInflight(t *testing.T) {
-	c := New(1 << 20)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	st := zeroState(4)
-	go func() {
-		_, _, _ = c.GetOrCompute(key(9), func() (*mps.MPS, error) {
-			close(started)
-			<-release
-			return st, nil
-		})
-	}()
-	<-started
-	done := make(chan []*mps.MPS, 1)
-	go func() {
-		sts, hits, err := c.GetOrComputeBatch([]Key{key(9)}, nil, func(miss []int) ([]*mps.MPS, error) {
-			t.Error("batch must join the in-flight computation, not recompute")
-			return nil, nil
-		})
-		if err != nil || hits != 1 {
-			t.Errorf("join: hits=%d err=%v", hits, err)
-		}
-		done <- sts
-	}()
-	// The joining batch must be blocked until the first caller finishes.
-	select {
-	case <-done:
-		t.Fatal("batch returned before the in-flight computation finished")
-	case <-time.After(10 * time.Millisecond):
-	}
-	close(release)
-	sts := <-done
-	if sts[0] != st {
-		t.Fatal("joined batch did not receive the in-flight result")
-	}
-}
-
-// TestGetOrComputeBatchErrorPropagation: a failing band compute must error
-// every waiter, cache nothing, and clear the in-flight registrations.
-func TestGetOrComputeBatchErrorPropagation(t *testing.T) {
-	c := New(1 << 20)
-	wantErr := fmt.Errorf("boom")
-	_, _, err := c.GetOrComputeBatch([]Key{key(5), key(6)}, nil, func(miss []int) ([]*mps.MPS, error) {
-		return nil, wantErr
-	})
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, ok := c.Get(key(5)); ok {
-		t.Fatal("failed compute must cache nothing")
-	}
-	// The keys must be retryable (inflight cleared).
-	sts, _, err := c.GetOrComputeBatch([]Key{key(5)}, nil, func(miss []int) ([]*mps.MPS, error) {
-		return []*mps.MPS{zeroState(4)}, nil
-	})
-	if err != nil || sts[0] == nil {
-		t.Fatalf("retry after error: %v", err)
-	}
-	// A compute returning the wrong number of states is an error, not a panic.
-	_, _, err = c.GetOrComputeBatch([]Key{key(7)}, nil, func(miss []int) ([]*mps.MPS, error) {
-		return nil, nil
-	})
-	if err == nil {
-		t.Fatal("short compute result must error")
-	}
-}
-
-// TestGetOrComputeBatchNilCache: with no cache every index is a miss and the
-// batch computes everything, reporting zero hits.
-func TestGetOrComputeBatchNilCache(t *testing.T) {
-	var c *Cache
-	sts, hits, err := c.GetOrComputeBatch([]Key{key(1), key(2)}, nil, func(miss []int) ([]*mps.MPS, error) {
-		if len(miss) != 2 {
-			t.Fatalf("miss = %v", miss)
-		}
-		return []*mps.MPS{zeroState(4), zeroState(4)}, nil
-	})
-	if err != nil || hits != 0 || sts[0] == nil || sts[1] == nil {
-		t.Fatalf("nil cache batch: hits=%d err=%v", hits, err)
-	}
-}
