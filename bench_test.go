@@ -579,9 +579,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := serve.New(fw, model, serve.Config{
-		MaxBatch: 64, MaxWait: 200 * time.Microsecond, QueueDepth: 1024,
-	})
+	s, err := serve.New(fw, model, serve.Config{MaxBatch: 64, QueueDepth: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}

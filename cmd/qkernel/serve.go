@@ -35,7 +35,6 @@ func runServe(args []string) int {
 	modelPath := fs.String("model", "", "single model file written by `qkernel train -out` (registers as \"default\")")
 	models := fs.String("models", "", "comma-separated name=path model list; the first is the default model")
 	batch := fs.Int("batch", serve.DefaultMaxBatch, "max rows coalesced into one kernel computation (per model)")
-	batchWait := fs.Duration("batch-wait", serve.DefaultMaxWait, "max time the first queued row waits for a batch to fill")
 	queue := fs.Int("queue", serve.DefaultQueueDepth, "max queued requests per model before 429 backpressure")
 	cacheMB := fs.Int("cache-mb", -1, "total state-cache budget in MiB shared across all models (-1 keeps each model's saved setting as its share, 0 disables)")
 	procs := fs.Int("procs", 0, "override the models' simulated process count (0 keeps the saved settings)")
@@ -74,7 +73,7 @@ func runServe(args []string) int {
 
 	regCfg := registry.Config{
 		Procs: *procs,
-		Batch: serve.Config{MaxBatch: *batch, MaxWait: *batchWait, QueueDepth: *queue, Obs: tracer},
+		Batch: serve.Config{MaxBatch: *batch, QueueDepth: *queue, Obs: tracer},
 	}
 	switch {
 	case *cacheMB > 0:
@@ -145,8 +144,8 @@ func runServe(args []string) int {
 	if tracer.Enabled() {
 		traceState = fmt.Sprintf("trace ring %d", *traceRing)
 	}
-	fmt.Printf("qkernel serve: listening on http://%s (%d models, batch %d, batch-wait %v, queue %d, %s, %s, %s)\n",
-		ln.Addr(), len(specs), *batch, *batchWait, *queue, limits, adminState, traceState)
+	fmt.Printf("qkernel serve: listening on http://%s (%d models, batch %d, queue %d, %s, %s, %s)\n",
+		ln.Addr(), len(specs), *batch, *queue, limits, adminState, traceState)
 
 	// SIGHUP is the operator's hot-reload signal: re-stat every model path
 	// and atomically swap the changed ones with zero dropped requests.

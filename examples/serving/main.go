@@ -144,7 +144,7 @@ func startLocalServer(train *dataset.Dataset) string {
 
 	reg, err := registry.Open(specs, registry.Config{
 		CacheBudget: 128 << 20,
-		Batch:       serve.Config{MaxBatch: 32, MaxWait: 20 * time.Millisecond},
+		Batch:       serve.Config{MaxBatch: 32},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -155,6 +155,6 @@ func startLocalServer(train *dataset.Dataset) string {
 	}
 	router := servehttp.NewRouter(reg, servehttp.Config{})
 	ts := httptest.NewServer(router.Handler())
-	fmt.Printf("serving on %s (batch window %v)\n\n", ts.URL, 20*time.Millisecond)
+	fmt.Printf("serving on %s\n\n", ts.URL)
 	return ts.URL
 }

@@ -10,14 +10,14 @@ import (
 	"repro/internal/svm"
 )
 
-func preparedData(t *testing.T, features, size int) (train, test *dataset.Dataset) {
-	t.Helper()
+func preparedData(tb testing.TB, features, size int) (train, test *dataset.Dataset) {
+	tb.Helper()
 	full := dataset.GenerateElliptic(dataset.EllipticConfig{
 		Features: features, NumIllicit: size, NumLicit: size, Seed: 1,
 	})
 	tr, te, err := dataset.PrepareSplit(full, size, features, 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr, te
 }

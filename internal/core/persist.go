@@ -20,8 +20,10 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -39,7 +41,21 @@ const (
 	modelMagic      uint32 = 0x514b4d31 // "QKM1"
 	modelVersion    uint32 = 2
 	minModelVersion uint32 = 1
+	// maxModelProcs bounds the simulated process count a model file may
+	// carry; a loader that wants more sets it through the tune hook.
+	maxModelProcs = 1 << 10
 )
+
+// ErrCorruptModel is wrapped by every DecodeModel error about the bytes
+// themselves: a truncated or foreign header, an undecodable payload, or
+// fields that contradict each other.
+var ErrCorruptModel = errors.New("core: corrupt model file")
+
+// ErrContextMismatch is wrapped by the DecodeModel error for a well-formed
+// file whose simulation-context fingerprint differs from the one the loader
+// rebuilds: codec drift between binaries, or tuning that touched a
+// sim-relevant option.
+var ErrContextMismatch = errors.New("core: simulation context mismatch")
 
 // modelFile is the gob payload of a serialised model. All sim-relevant fields
 // are duplicated from Options explicitly (rather than gob-encoding Options
@@ -213,21 +229,21 @@ func LoadModelTuned(path string, tune func(*Options)) (*Framework, *Model, error
 func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: truncated model header: %w", err)
+		return nil, nil, fmt.Errorf("%w: truncated header: %w", ErrCorruptModel, err)
 	}
 	if mg := binary.LittleEndian.Uint32(hdr[0:4]); mg != modelMagic {
-		return nil, nil, fmt.Errorf("core: not a model file (magic 0x%08x)", mg)
+		return nil, nil, fmt.Errorf("%w: not a model file (magic 0x%08x)", ErrCorruptModel, mg)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v < minModelVersion || v > modelVersion {
-		return nil, nil, fmt.Errorf("core: unsupported model version %d (this binary reads %d..%d)", v, minModelVersion, modelVersion)
+		return nil, nil, fmt.Errorf("%w: unsupported version %d (this binary reads %d..%d)", ErrCorruptModel, v, minModelVersion, modelVersion)
 	}
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding model: %w", err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 	}
 	strategy, err := dist.ParseStrategy(mf.Strategy)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: decoding model: %w", err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 	}
 	// The chan wire is Options' nil default (dist.TransportName(nil) ==
 	// "chan"), so it decodes back to nil and default options round-trip
@@ -235,8 +251,13 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	var transport dist.Transport
 	if mf.Transport != "" && mf.Transport != dist.TransportName(nil) {
 		if transport, err = dist.ParseTransport(mf.Transport); err != nil {
-			return nil, nil, fmt.Errorf("core: decoding model: %w", err)
+			return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 		}
+	}
+	// Every computation allocates per simulated process, so the saved count
+	// is a length like any other. Zero reads as the default of one.
+	if mf.Procs < 0 || mf.Procs > maxModelProcs {
+		return nil, nil, fmt.Errorf("%w: %d simulated processes (want 0..%d)", ErrCorruptModel, mf.Procs, maxModelProcs)
 	}
 	opts := Options{
 		Features: mf.Features, Layers: mf.Layers, Distance: mf.Distance,
@@ -249,26 +270,34 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	}
 	fw, err := New(opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: rebuilding framework: %w", err)
+		return nil, nil, fmt.Errorf("%w: rebuilding framework: %w", ErrCorruptModel, err)
 	}
 	if fp := fw.q.Fingerprint(); fp != mf.Fingerprint {
-		return nil, nil, fmt.Errorf("core: simulation context mismatch: model saved under %q, loader built %q (codec drift, or tuning touched a sim-relevant option)", mf.Fingerprint, fp)
+		return nil, nil, fmt.Errorf("%w: model saved under %q, loader built %q (codec drift, or tuning touched a sim-relevant option)", ErrContextMismatch, mf.Fingerprint, fp)
 	}
 
 	if len(mf.TrainX) == 0 || len(mf.TrainX) != len(mf.TrainY) {
-		return nil, nil, fmt.Errorf("core: model has %d training rows for %d labels", len(mf.TrainX), len(mf.TrainY))
+		return nil, nil, fmt.Errorf("%w: %d training rows for %d labels", ErrCorruptModel, len(mf.TrainX), len(mf.TrainY))
 	}
 	for i, row := range mf.TrainX {
 		if len(row) != fw.opts.Features {
-			return nil, nil, fmt.Errorf("core: training row %d has %d features, model has %d", i, len(row), fw.opts.Features)
+			return nil, nil, fmt.Errorf("%w: training row %d has %d features, model has %d", ErrCorruptModel, i, len(row), fw.opts.Features)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("%w: training row %d feature %d is %v", ErrCorruptModel, i, j, v)
+			}
+		}
+		if y := mf.TrainY[i]; y != 1 && y != -1 {
+			return nil, nil, fmt.Errorf("%w: training label %d is %d, not ±1", ErrCorruptModel, i, y)
 		}
 	}
 	sv := new(svm.Model)
 	if err := json.Unmarshal(mf.SVM, sv); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding model: %w", err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 	}
 	if len(sv.Alpha) != len(mf.TrainY) {
-		return nil, nil, fmt.Errorf("core: svm has %d coefficients for %d training rows", len(sv.Alpha), len(mf.TrainY))
+		return nil, nil, fmt.Errorf("%w: svm has %d coefficients for %d training rows", ErrCorruptModel, len(sv.Alpha), len(mf.TrainY))
 	}
 	// Rehydrate the training states only within the loader's memory policy:
 	// a negative (tuned) budget is the documented memory-for-compute
@@ -277,16 +306,16 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	var states []*mps.MPS
 	if len(mf.States) > 0 && fw.cacheBudget >= 0 {
 		if len(mf.States) != len(mf.TrainX) {
-			return nil, nil, fmt.Errorf("core: model has %d states for %d training rows", len(mf.States), len(mf.TrainX))
+			return nil, nil, fmt.Errorf("%w: %d states for %d training rows", ErrCorruptModel, len(mf.States), len(mf.TrainX))
 		}
 		states = make([]*mps.MPS, len(mf.States))
 		for i, blob := range mf.States {
 			st, err := mps.UnmarshalBinary(blob, fw.q.Config)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: decoding training state %d: %w", i, err)
+				return nil, nil, fmt.Errorf("%w: training state %d: %w", ErrCorruptModel, i, err)
 			}
 			if st.N != fw.opts.Features {
-				return nil, nil, fmt.Errorf("core: training state %d has %d qubits, model has %d", i, st.N, fw.opts.Features)
+				return nil, nil, fmt.Errorf("%w: training state %d has %d qubits, model has %d", ErrCorruptModel, i, st.N, fw.opts.Features)
 			}
 			states[i] = st
 		}
@@ -300,7 +329,7 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	if len(mf.ConformalPos) > 0 || len(mf.ConformalNeg) > 0 {
 		pred = &conformal.Predictor{Alpha: mf.ConformalAlpha, Pos: mf.ConformalPos, Neg: mf.ConformalNeg}
 		if err := pred.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: decoding model: %w", err)
+			return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 		}
 	}
 	m := &Model{

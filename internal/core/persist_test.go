@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -258,20 +259,34 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	if _, _, err := DecodeModel(bytes.NewReader(blob[:5]), nil); err == nil {
-		t.Fatal("truncated header must error")
+	if _, _, err := DecodeModel(bytes.NewReader(blob[:5]), nil); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("truncated header: %v, want ErrCorruptModel", err)
 	}
-	if _, _, err := DecodeModel(bytes.NewReader(blob[:len(blob)/2]), nil); err == nil {
-		t.Fatal("truncated payload must error")
+	if _, _, err := DecodeModel(bytes.NewReader(blob[:len(blob)/2]), nil); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("truncated payload: %v, want ErrCorruptModel", err)
 	}
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xff
-	if _, _, err := DecodeModel(bytes.NewReader(bad), nil); err == nil {
-		t.Fatal("bad magic must error")
+	if _, _, err := DecodeModel(bytes.NewReader(bad), nil); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("bad magic: %v, want ErrCorruptModel", err)
 	}
 	bad = append([]byte(nil), blob...)
 	bad[4] = 99 // version
-	if _, _, err := DecodeModel(bytes.NewReader(bad), nil); err == nil {
-		t.Fatal("unknown version must error")
+	if _, _, err := DecodeModel(bytes.NewReader(bad), nil); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("unknown version: %v, want ErrCorruptModel", err)
+	}
+
+	// A 13-byte file whose gob length prefix claims a gigabyte must fail on
+	// the missing bytes, not allocate what the prefix asks for.
+	huge := append(blob[:8:8], 0xfc, 0x3f, 0xff, 0xff, 0xff)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeModel(bytes.NewReader(huge), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("gigabyte length prefix: %v, want ErrCorruptModel", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a 13-byte file made the decoder allocate %d MiB", grew>>20)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,20 +29,20 @@ type job struct {
 	err   error
 	done  chan struct{}
 	// span is the request's trace span (from the DoCtx context), nil when
-	// the request is untraced. At scatter time the scheduler reconstructs
+	// the request is untraced. At scatter time the dispatcher reconstructs
 	// the request's queue_wait / batch_compute / scatter phases under it.
 	span *obs.Span
 	// canceled marks a job whose submitter gave up (context ended) while it
-	// was queued. The scheduler checks it at gather time and releases the
+	// was queued. The dispatcher checks it at gather time and releases the
 	// slot instead of computing the dead request; a job gathered before the
 	// mark is computed normally (its submitter already returned).
 	canceled atomic.Bool
 }
 
-// Batcher owns one resident model and the micro-batching scheduler in front
-// of it. Create with New, submit via Do, stop with Close. In a multi-model
-// deployment the registry owns one Batcher per model, so each model has its
-// own queue, batch window and scheduler goroutine.
+// Batcher owns one resident model and the dispatchers in front of it. Create
+// with New, submit via Do, stop with Close. In a multi-model deployment the
+// registry owns one Batcher per model, so each model has its own queue and
+// dispatchers.
 type Batcher struct {
 	fw    *core.Framework
 	model *core.Model
@@ -51,6 +52,11 @@ type Batcher struct {
 	done  chan struct{}
 	once  sync.Once
 	start time.Time
+	// gate, when non-nil, must yield a value before a dispatcher takes its
+	// next job from the queue (a closed gate never holds). Tests use it to
+	// keep every dispatcher busy while they queue requests; nil in
+	// production. Close drains the queue regardless of the gate.
+	gate chan struct{}
 
 	// reqHist observes end-to-end request latency (enqueue → scatter) and
 	// qwHist its queue-wait component (enqueue → batch dispatch); confHist
@@ -73,10 +79,15 @@ type Batcher struct {
 	waitWall     time.Duration
 }
 
-// New validates the pair and starts the batching loop. The model should be
-// the framework's own (Fit output or core.LoadModel pair): width mismatches
-// are rejected here rather than per-request.
+// New validates the pair and starts one dispatcher per GOMAXPROCS. The model
+// should be the framework's own (Fit output or core.LoadModel pair): width
+// mismatches are rejected here rather than per-request.
 func New(fw *core.Framework, model *core.Model, cfg Config) (*Batcher, error) {
+	return newBatcher(fw, model, cfg, nil)
+}
+
+// newBatcher is New with a dispatch gate (see Batcher.gate).
+func newBatcher(fw *core.Framework, model *core.Model, cfg Config, gate chan struct{}) (*Batcher, error) {
 	if fw == nil || model == nil || model.SVM == nil {
 		return nil, fmt.Errorf("serve: nil framework or model")
 	}
@@ -91,12 +102,24 @@ func New(fw *core.Framework, model *core.Model, cfg Config) (*Batcher, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		start:    time.Now(),
+		gate:     gate,
 		reqHist:  obs.NewHistogram(),
 		qwHist:   obs.NewHistogram(),
 		confHist: obs.NewHistogram(confidenceBounds...),
 	}
 	s.queue = make(chan *job, s.cfg.QueueDepth)
-	go s.loop()
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.dispatch()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.done)
+	}()
 	return s, nil
 }
 
@@ -116,14 +139,15 @@ func (s *Batcher) Close() {
 }
 
 // Do submits rows for prediction and blocks until their batch is answered.
-// It is the in-process equivalent of POST /predict: rows from concurrent Do
-// calls coalesce into shared kernel computations.
+// It is the in-process equivalent of POST /predict: rows from Do calls that
+// queue while every dispatcher is busy coalesce into shared kernel
+// computations.
 func (s *Batcher) Do(rows [][]float64) ([]float64, error) {
 	return s.DoCtx(context.Background(), rows)
 }
 
 // DoCtx is Do bounded by a context: if ctx ends while the request is still
-// queued, DoCtx returns ErrCanceled immediately and the scheduler releases
+// queued, DoCtx returns ErrCanceled immediately and a dispatcher releases
 // the slot when it reaches the job — the dead request's rows are never
 // computed. A cancellation that races the batch dispatch may still compute
 // the rows (they were already gathered); the caller gets ErrCanceled either
@@ -185,7 +209,7 @@ func (s *Batcher) DoFullCtx(ctx context.Context, rows [][]float64) ([]float64, [
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		// Mark the job dead so the scheduler releases its slot (and its
+		// Mark the job dead so a dispatcher releases its slot (and its
 		// accounting) instead of computing it, then check whether the batch
 		// won the race anyway — if the job was already answered, prefer the
 		// answer's accounting but still report the cancellation to the
@@ -197,10 +221,10 @@ func (s *Batcher) DoFullCtx(ctx context.Context, rows [][]float64) ([]float64, [
 		}
 		return nil, nil, fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
 	case <-s.done:
-		// The loop exited; it drained and answered the queue before closing
-		// done, but a job that squeezed past the stop check and enqueued
-		// after that final drain would never be answered — check rather than
-		// block forever.
+		// Every dispatcher exited; they drained and answered the queue
+		// before done closed, but a job that squeezed past the stop check
+		// and enqueued after the final drain would never be answered — check
+		// rather than block forever.
 		select {
 		case <-j.done:
 		default:
@@ -214,7 +238,7 @@ func (s *Batcher) DoFullCtx(ctx context.Context, rows [][]float64) ([]float64, [
 	return j.scores, j.preds, j.err
 }
 
-// releaseCanceled releases a canceled job the scheduler pulled from the
+// releaseCanceled releases a canceled job a dispatcher pulled from the
 // queue: the admission-time accounting is undone, the cancellation counted,
 // and the job answered (its submitter has already returned, but answering
 // keeps every pulled job's lifecycle uniform).
@@ -256,74 +280,70 @@ func (s *Batcher) Stats() Stats {
 	}
 }
 
-// loop is the batching scheduler: take the first queued job, hold the batch
-// open until it reaches MaxBatch rows or MaxWait elapses, then answer the
-// whole batch with one kernel call. After Close, the open batch and every
-// queued job are still answered (drainQueued) before the loop exits.
-func (s *Batcher) loop() {
-	defer close(s.done)
+// dispatch is one of the Batcher's GOMAXPROCS dispatchers. It is
+// work-conserving: it blocks for one job, adds whatever is already queued
+// without waiting for more, and answers the batch with one kernel call. A
+// request therefore dispatches the moment a dispatcher is free; coalescing
+// happens only while every dispatcher is busy computing. After Close each
+// dispatcher drains the queue, so every admitted job is answered before done
+// closes.
+func (s *Batcher) dispatch() {
 	for {
-		var first *job
-		select {
-		case first = <-s.queue:
-		case <-s.stop:
-			s.drainQueued()
-			return
-		}
-		if first.canceled.Load() {
-			s.releaseCanceled(first)
-			continue
-		}
-		batch := []*job{first}
-		rowCount := len(first.rows)
-		timer := time.NewTimer(s.cfg.MaxWait)
-	fill:
-		for rowCount < s.cfg.MaxBatch {
+		if s.gate != nil {
 			select {
-			case j := <-s.queue:
-				if j.canceled.Load() {
-					s.releaseCanceled(j)
-					continue
-				}
-				batch = append(batch, j)
-				rowCount += len(j.rows)
-			case <-timer.C:
-				break fill
+			case <-s.gate:
 			case <-s.stop:
-				// Dispatch what the batch holds now; the next loop iteration
-				// lands in drainQueued for the rest.
-				break fill
+				s.drain()
+				return
 			}
 		}
-		timer.Stop()
-		s.process(batch, rowCount)
+		select {
+		case j := <-s.queue:
+			if batch, rows := s.gather(j); len(batch) > 0 {
+				s.process(batch, rows)
+			}
+		case <-s.stop:
+			s.drain()
+			return
+		}
 	}
 }
 
-// drainQueued answers every job accepted before Close, in coalesced batches,
-// so Close never drops a request it admitted.
-func (s *Batcher) drainQueued() {
+// drain answers what is left in the queue, in coalesced batches, so Close
+// never drops a request it admitted.
+func (s *Batcher) drain() {
 	for {
-		var batch []*job
-		rowCount := 0
-	gather:
-		for rowCount < s.cfg.MaxBatch {
-			select {
-			case j := <-s.queue:
-				if j.canceled.Load() {
-					s.releaseCanceled(j)
-					continue
-				}
-				batch = append(batch, j)
-				rowCount += len(j.rows)
-			default:
-				break gather
-			}
-		}
+		batch, rows := s.gather(nil)
 		if len(batch) == 0 {
 			return
 		}
-		s.process(batch, rowCount)
+		s.process(batch, rows)
+	}
+}
+
+// gather builds one batch from first (which may be nil) and the jobs already
+// queued, never blocking, until it holds MaxBatch rows or the queue is
+// empty. Canceled jobs are released on the way and never join a batch. An
+// empty batch means the queue was empty.
+func (s *Batcher) gather(first *job) (batch []*job, rows int) {
+	j := first
+	for {
+		if j != nil {
+			if j.canceled.Load() {
+				s.releaseCanceled(j)
+			} else {
+				batch = append(batch, j)
+				rows += len(j.rows)
+			}
+		}
+		if rows >= s.cfg.MaxBatch {
+			return batch, rows
+		}
+		select {
+		case j = <-s.queue:
+		default:
+			return batch, rows
+		}
 	}
 }
 
@@ -399,7 +419,6 @@ func (s *Batcher) process(batch []*job, rowCount int) {
 			}
 		}
 		off += len(j.rows)
-		close(j.done)
 		finish := time.Now()
 		if j.span != nil {
 			// Phases are reconstructed retroactively from the shared batch
@@ -419,5 +438,10 @@ func (s *Batcher) process(batch []*job, rowCount int) {
 	}
 	if batchTr != nil {
 		s.cfg.Obs.Finish(batchTr)
+	}
+	// Answer last, so a requester that returns already sees its batch in the
+	// histograms, the counters and the trace ring.
+	for _, j := range batch {
+		close(j.done)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestFaultClientCancelBeforeEnqueue: a context that is already dead never
 // enters the queue — no accounting, no slot, ErrCanceled straight back.
 func TestFaultClientCancelBeforeEnqueue(t *testing.T) {
-	s, _, _, testX := newTestBatcher(t, Config{MaxWait: time.Millisecond})
+	s, _, _, testX := newTestBatcher(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.DoCtx(ctx, testX[:1]); !errors.Is(err, ErrCanceled) {
@@ -23,49 +23,40 @@ func TestFaultClientCancelBeforeEnqueue(t *testing.T) {
 }
 
 // TestFaultClientCancelReleasesQueuedSlot: a request canceled while queued
-// behind a slow batch is released by the scheduler — its rows are never
-// computed, its admission accounting is undone, and the cancellation is
-// counted.
+// behind busy dispatchers is released by the dispatcher that reaches it —
+// its rows are never computed, its admission accounting is undone, and the
+// cancellation is counted.
 func TestFaultClientCancelReleasesQueuedSlot(t *testing.T) {
-	s, _, _, testX := newTestBatcher(t, Config{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: 4})
+	s, gate, _, _, testX := newGatedBatcher(t, Config{QueueDepth: 4})
 
-	// Job A: enough distinct rows that its kernel call holds the scheduler in
-	// process() while we cancel B behind it. Distinct rows defeat the state
-	// cache, so every one costs a simulation.
-	big := make([][]float64, 512)
-	for i := range big {
-		r := make([]float64, len(testX[0]))
-		copy(r, testX[i%len(testX)])
-		r[0] += float64(i) * 1e-4
-		big[i] = r
-	}
+	// Job A is dispatched and answered normally; afterwards every dispatcher
+	// is held again.
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := s.DoCtx(context.Background(), big)
+		_, err := s.DoCtx(context.Background(), testX[:1])
 		aDone <- err
 	}()
-	// Wait until A has been pulled off the queue (dispatched, not answered).
-	waitFor(t, "job A dispatched", func() bool {
-		st := s.Stats()
-		return st.Requests == 1 && st.QueuedJobs == 0 && st.Batches == 0
-	})
+	waitFor(t, "job A queued", func() bool { return s.Stats().QueuedJobs == 1 })
+	gate <- struct{}{}
+	if err := <-aDone; err != nil {
+		t.Fatalf("job A should complete normally: %v", err)
+	}
 
+	// Job B queues behind the held dispatchers and is canceled there.
 	ctx, cancel := context.WithCancel(context.Background())
 	bDone := make(chan error, 1)
 	go func() {
-		_, err := s.DoCtx(ctx, testX[:1])
+		_, err := s.DoCtx(ctx, testX[1:2])
 		bDone <- err
 	}()
 	waitFor(t, "job B queued", func() bool { return s.Stats().QueuedJobs == 1 })
 	cancel()
-
 	if err := <-bDone; !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled queued request = %v, want ErrCanceled", err)
 	}
-	if err := <-aDone; err != nil {
-		t.Fatalf("job A should complete normally: %v", err)
-	}
-	// The scheduler reaches B after A's batch and releases it.
+
+	// Free the dispatchers: the first to reach B releases it.
+	close(gate)
 	waitFor(t, "canceled slot released", func() bool { return s.Stats().Canceled == 1 })
 	st := s.Stats()
 	if st.Requests != 1 {
@@ -77,7 +68,7 @@ func TestFaultClientCancelReleasesQueuedSlot(t *testing.T) {
 }
 
 // waitFor polls cond with a generous deadline — the conditions are driven by
-// a live scheduler goroutine, so the poll is about when, not whether.
+// live dispatcher goroutines, so the poll is about when, not whether.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

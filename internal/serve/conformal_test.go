@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -38,7 +37,7 @@ func trainCalibrated(t *testing.T, features int) (*core.Framework, *core.Model, 
 // confidence histogram.
 func TestDoFullCalibrated(t *testing.T) {
 	fw, model, testX := trainCalibrated(t, 6)
-	s, err := New(fw, model, Config{MaxWait: time.Millisecond})
+	s, err := New(fw, model, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestDoFullCalibrated(t *testing.T) {
 // TestDoFullScoreOnly: a score-only model's batcher returns nil predictions
 // and untouched conformal counters — the pre-calibration contract.
 func TestDoFullScoreOnly(t *testing.T) {
-	s, fw, model, testX := newTestBatcher(t, Config{MaxWait: time.Millisecond})
+	s, fw, model, testX := newTestBatcher(t, Config{})
 	scores, preds, err := s.DoFull(testX[:4])
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -258,7 +257,7 @@ func TestRateLimit429(t *testing.T) {
 // fixed transient Retry-After: 1, no rate-limit headers, and its own reject
 // reason.
 func TestQueueFull429(t *testing.T) {
-	st := newStack(t, serve.Config{MaxBatch: 1, MaxWait: time.Nanosecond, QueueDepth: 1}, Config{})
+	st := newStack(t, serve.Config{MaxBatch: 1, QueueDepth: 1}, Config{})
 	const burst = 24
 	var wg sync.WaitGroup
 	var shed, served atomic.Int64

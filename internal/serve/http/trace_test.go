@@ -9,7 +9,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -46,7 +45,7 @@ func postPredictWithID(t *testing.T, url string, rows [][]float64, sendID string
 // the queue_wait / batch_compute / scatter phases on it.
 func TestRequestIDAndDebugTrace(t *testing.T) {
 	tracer := obs.NewTracer(16)
-	st := newStack(t, serve.Config{MaxWait: time.Millisecond, Obs: tracer}, Config{Obs: tracer})
+	st := newStack(t, serve.Config{Obs: tracer}, Config{Obs: tracer})
 
 	resp, gotID := postPredictWithID(t, st.ts.URL+"/predict", st.testX[:1], "")
 	if resp.StatusCode != http.StatusOK {
@@ -137,7 +136,7 @@ func TestRequestIDAndDebugTrace(t *testing.T) {
 // (with a generated X-Request-Id) and /debug/trace 404s rather than
 // pretending an empty ring is a result.
 func TestDebugTraceDisabled(t *testing.T) {
-	st := newStack(t, serve.Config{MaxWait: time.Millisecond}, Config{})
+	st := newStack(t, serve.Config{}, Config{})
 	resp, id := postPredictWithID(t, st.ts.URL+"/predict", st.testX[:1], "")
 	if resp.StatusCode != http.StatusOK || id == "" {
 		t.Fatalf("predict without tracer: status %d, id %q", resp.StatusCode, id)
@@ -160,7 +159,7 @@ func TestDebugTraceDisabled(t *testing.T) {
 // le="+Inf" bucket equals the _count sample, which equals the request
 // counter — buckets, count and counter all agree.
 func TestMetricsHistograms(t *testing.T) {
-	st := newStack(t, serve.Config{MaxWait: time.Millisecond}, Config{})
+	st := newStack(t, serve.Config{}, Config{})
 	const k = 3
 	for i := 0; i < k; i++ {
 		resp, _ := postPredict(t, st.ts.URL+"/predict", st.testX[i:i+1])

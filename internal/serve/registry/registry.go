@@ -1,9 +1,8 @@
 // Package registry owns the named models of a multi-model serving process.
 //
 // Each registered model gets its own core.Framework (state cache, comm
-// counters) and its own serve.Batcher (queue + batch window + scheduler
-// goroutine), so one cold or slow model can never stall another model's
-// batches. The per-model state caches share one byte budget: the registry
+// counters) and its own serve.Batcher (queue + dispatchers), so one cold or
+// slow model can never stall another model's batches. The per-model state caches share one byte budget: the registry
 // splits Config.CacheBudget evenly across the configured models, so N
 // resident models together never hold more cached simulation state than a
 // single-model deployment would.

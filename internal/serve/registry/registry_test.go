@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -367,25 +368,33 @@ func TestOpenRejectsBadSpecs(t *testing.T) {
 }
 
 // TestBatchConfigThreaded: the registry hands its per-model batch config to
-// every batcher — queue-full backpressure still works per model.
+// every batcher — queue-full backpressure still works per model. Each
+// request carries rows no other request shares, so every batch simulates
+// and the burst meets dispatchers that are all busy: at most one request
+// per dispatcher plus the one queued can be in the system at once.
 func TestBatchConfigThreaded(t *testing.T) {
 	dir := t.TempDir()
 	path, _, testX := saveModel(t, dir, "a.bin", 0.5)
 	r, err := Open([]Spec{{"alpha", path}}, Config{
-		Batch: serve.Config{MaxBatch: 1, MaxWait: 1, QueueDepth: 1},
+		Batch: serve.Config{MaxBatch: 1, QueueDepth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	const burst = 16
+	burst := 2*runtime.GOMAXPROCS(0) + 8
 	var wg sync.WaitGroup
 	var shed atomic.Int64
 	for i := 0; i < burst; i++ {
+		rows := make([][]float64, 64)
+		for k := range rows {
+			rows[k] = append([]float64(nil), testX[k%len(testX)]...)
+			rows[k][0] += float64(i*len(rows)+k) * 1e-4
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Predict("alpha", testX[:1]); errors.Is(err, serve.ErrQueueFull) {
+			if _, err := r.Predict("alpha", rows); errors.Is(err, serve.ErrQueueFull) {
 				shed.Add(1)
 			}
 		}()

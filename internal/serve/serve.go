@@ -13,17 +13,20 @@
 //     per-API-key rate limits, admin reload, and Prometheus metrics with
 //     per-model label dimensions.
 //
-// Kernel inference has strong economies of scale — one ComputeCrossStates
-// call amortises the zero-realloc overlap workspaces, the bounded worker
-// pools and the state cache across every row it carries — so instead of
-// running one kernel computation per request, incoming rows are coalesced:
-// the first queued request opens a batch window, later requests join it
-// until the batch reaches MaxBatch rows or MaxWait elapses, and the whole
-// batch is answered by a single cross-kernel call whose rows are then
-// scattered back to their requesters. Under concurrent load N requests
-// collapse into far fewer kernel computations; an idle server still answers
-// a lone request within MaxWait. Each Batcher has its own queue and
-// scheduler goroutine, so in a multi-model deployment one cold or slow
+// Dispatch is work-conserving. Each Batcher runs one dispatcher goroutine
+// per GOMAXPROCS over a shared queue. A dispatcher blocks for one request,
+// adds whatever else is already queued (up to MaxBatch rows) without waiting
+// for more, and answers the batch with a single cross-kernel call whose rows
+// are then scattered back to their requesters. A request is therefore
+// dispatched the moment a core is free — there is no batch window to sleep
+// out — and coalescing happens exactly when it pays: while every dispatcher
+// is busy computing, arrivals pile up and the next free dispatcher takes
+// them as one batch, amortising the overlap workspaces and worker pools
+// across every row it carries. There is one dispatcher per core rather than
+// one in total because a 1-row batch keeps one core busy: each row's
+// simulation is independent work, so concurrent small batches fill the
+// cores that a single dispatcher would leave idle. Each Batcher has its own
+// queue and dispatchers, so in a multi-model deployment one cold or slow
 // model can never stall another model's batches.
 //
 // Backpressure is explicit: the request queue is bounded (QueueDepth jobs)
@@ -49,7 +52,6 @@ import (
 // Tunable defaults; see Config.
 const (
 	DefaultMaxBatch       = 32
-	DefaultMaxWait        = 2 * time.Millisecond
 	DefaultQueueDepth     = 64
 	DefaultMaxRequestRows = 1024
 )
@@ -75,16 +77,12 @@ var ErrTooLarge = errors.New("serve: request too large")
 // convention).
 var ErrCanceled = errors.New("serve: request canceled")
 
-// Config tunes the micro-batching scheduler.
+// Config tunes the Batcher.
 type Config struct {
-	// MaxBatch is the coalescing target: a batch dispatches as soon as it
-	// holds this many rows. A single oversized request still runs (as its
-	// own batch); MaxBatch only stops further coalescing. Default 32.
+	// MaxBatch caps coalescing: a dispatcher stops adding queued requests to
+	// a batch once it holds this many rows. A single oversized request still
+	// runs (as its own batch). Default 32.
 	MaxBatch int
-	// MaxWait bounds how long the first row of a batch waits for company
-	// before the batch dispatches anyway — the latency price of coalescing.
-	// Default 2ms.
-	MaxWait time.Duration
 	// QueueDepth bounds the number of requests waiting to join a batch;
 	// beyond it Do returns ErrQueueFull. Default 64.
 	QueueDepth int
@@ -104,9 +102,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = DefaultMaxWait
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -47,10 +47,26 @@ func newTestBatcher(t *testing.T, cfg Config) (*Batcher, *core.Framework, *core.
 	return s, fw, model, testX
 }
 
+// newGatedBatcher is newTestBatcher behind a dispatch gate: no dispatcher
+// takes a job until the test sends on (or closes) the returned channel, so
+// requests queue exactly as they would behind dispatchers that are all busy.
+// One send frees one dispatcher for one batch.
+func newGatedBatcher(t *testing.T, cfg Config) (*Batcher, chan struct{}, *core.Framework, *core.Model, [][]float64) {
+	t.Helper()
+	fw, model, testX := trainSmall(t, 6)
+	gate := make(chan struct{})
+	s, err := newBatcher(fw, model, cfg, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, gate, fw, model, testX
+}
+
 // TestSingleRequest: one submitted row comes back with the same score the
-// in-process Predict produces, within MaxWait.
+// in-process Predict produces.
 func TestSingleRequest(t *testing.T) {
-	s, fw, model, testX := newTestBatcher(t, Config{MaxWait: time.Millisecond})
+	s, fw, model, testX := newTestBatcher(t, Config{})
 	want, err := fw.Predict(model, testX[:1])
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +81,12 @@ func TestSingleRequest(t *testing.T) {
 }
 
 // TestConcurrentRequestsCoalesce is the batching acceptance check: N
-// concurrent single-row requests are answered by ONE underlying cross-kernel
-// computation. MaxBatch is set to exactly N, so the batch dispatches the
-// moment the last request joins — deterministically one batch.
+// single-row requests that queue while every dispatcher is busy are answered
+// by ONE underlying cross-kernel computation — the first dispatcher to free
+// up takes everything already queued.
 func TestConcurrentRequestsCoalesce(t *testing.T) {
 	const n = 8
-	s, fw, model, testX := newTestBatcher(t, Config{MaxBatch: n, MaxWait: 5 * time.Second})
+	s, gate, fw, model, testX := newGatedBatcher(t, Config{})
 	want, err := fw.Predict(model, testX[:n])
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +106,8 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, "all requests queued", func() bool { return s.Stats().QueuedJobs == n })
+	gate <- struct{}{}
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -113,9 +131,11 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 }
 
 // TestQueueFullBackpressure: a depth-1 queue under a concurrent burst must
-// shed load with ErrQueueFull rather than queueing unboundedly.
+// shed load with ErrQueueFull rather than queueing unboundedly. With every
+// dispatcher busy the outcome is exact: one request holds the slot, the rest
+// are shed, and the held one is answered once a dispatcher frees up.
 func TestQueueFullBackpressure(t *testing.T) {
-	s, _, _, testX := newTestBatcher(t, Config{MaxBatch: 1, MaxWait: time.Nanosecond, QueueDepth: 1})
+	s, gate, _, _, testX := newGatedBatcher(t, Config{MaxBatch: 1, QueueDepth: 1})
 
 	const burst = 24
 	var wg sync.WaitGroup
@@ -138,15 +158,11 @@ func TestQueueFullBackpressure(t *testing.T) {
 			}
 		}(i)
 	}
+	waitFor(t, "burst shed", func() bool { return s.Stats().Rejected == burst-1 })
+	close(gate)
 	wg.Wait()
-	if shed == 0 {
-		t.Fatalf("no ErrQueueFull under a %d-request burst on a depth-1 queue (served %d)", burst, served)
-	}
-	if served == 0 {
-		t.Fatalf("every request shed — the queue admitted nothing")
-	}
-	if st := s.Stats(); st.Rejected == 0 {
-		t.Fatalf("stats recorded no rejections: %+v", st)
+	if shed != burst-1 || served != 1 {
+		t.Fatalf("depth-1 queue behind busy dispatchers: served %d, shed %d; want 1 and %d", served, shed, burst-1)
 	}
 }
 
@@ -169,17 +185,17 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestCloseDrains: Close must answer every request it admitted before
-// returning — a Close racing an open batch window or a populated queue may
-// not drop responses. Run both regimes: an open batch that never fills
-// (MaxBatch > N, hour-long window) and a small MaxBatch that forces the
-// post-Close drain path to coalesce the queue remnant itself.
+// returning — a Close facing a populated queue may not drop responses. The
+// requests queue behind held dispatchers, so only the post-Close drain can
+// answer them. Run both regimes: a MaxBatch that takes the whole remnant at
+// once and a small one that forces the drain to split it into batches.
 func TestCloseDrains(t *testing.T) {
 	for _, cfg := range []Config{
-		{MaxBatch: 64, MaxWait: time.Hour, QueueDepth: 64},
-		{MaxBatch: 3, MaxWait: time.Hour, QueueDepth: 64},
+		{MaxBatch: 64, QueueDepth: 64},
+		{MaxBatch: 3, QueueDepth: 64},
 	} {
 		fw, model, testX := trainSmall(t, 6)
-		s, err := New(fw, model, cfg)
+		s, err := newBatcher(fw, model, cfg, make(chan struct{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,17 +219,9 @@ func TestCloseDrains(t *testing.T) {
 				}
 			}(i)
 		}
-		// Wait until all N submissions are admitted (in the open batch or
-		// the queue), then Close: every one of them must still be answered.
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			if s.Stats().Requests == n {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("MaxBatch=%d: only %d/%d requests admitted", cfg.MaxBatch, s.Stats().Requests, n)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		// Wait until all N submissions are queued, then Close: every one of
+		// them must still be answered.
+		waitFor(t, "all requests queued", func() bool { return s.Stats().QueuedJobs == n })
 		s.Close()
 		wg.Wait()
 		for i := 0; i < n; i++ {
@@ -224,6 +232,98 @@ func TestCloseDrains(t *testing.T) {
 				t.Fatalf("MaxBatch=%d: request %d scored %v, want %v", cfg.MaxBatch, i, scores[i], want[0])
 			}
 		}
+		if st := s.Stats(); st.Requests != n || st.MaxBatchRows > cfg.MaxBatch {
+			t.Fatalf("MaxBatch=%d: drain accounting %+v", cfg.MaxBatch, st)
+		}
+	}
+}
+
+// TestLoneRequestDoesNotWait is the work-conserving rule: with a dispatcher
+// free, a request is dispatched at once instead of waiting for company. Over
+// sequential requests the median queue wait stays far below the 2 ms that a
+// fixed batch window would add.
+func TestLoneRequestDoesNotWait(t *testing.T) {
+	s, _, _, testX := newTestBatcher(t, Config{})
+	for i := range 50 {
+		if _, err := s.Do(testX[i%len(testX) : i%len(testX)+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qw := s.Stats().QueueWaitSeconds
+	if qw.Count != 50 {
+		t.Fatalf("queue-wait histogram observed %d requests, want 50", qw.Count)
+	}
+	if p50 := qw.Quantile(0.5); p50 >= 0.5e-3 {
+		t.Fatalf("median queue wait of a lone request %.3g ms, want < 0.5 ms", p50*1e3)
+	}
+}
+
+// TestCloseAnswersInFlightBatches: Close called while every dispatcher is
+// computing a batch, with more requests queued behind them and new ones
+// racing the Close, answers every request it admitted; a racer it did not
+// admit gets ErrClosed and nobody hangs. Meant for -race: the dispatchers
+// share the queue, the counters and the framework.
+func TestCloseAnswersInFlightBatches(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	queued, racers := 2*procs+3, 8
+	s, gate, fw, model, testX := newGatedBatcher(t, Config{MaxBatch: 1, QueueDepth: queued + racers})
+	// Distinct rows defeat the state cache, so every batch simulates and
+	// stays in flight for a while.
+	request := func(k int) [][]float64 {
+		rows := make([][]float64, 16)
+		for i := range rows {
+			r := append([]float64(nil), testX[i%len(testX)]...)
+			r[0] += float64(k*len(rows)+i) * 1e-4
+			rows[i] = r
+		}
+		return rows
+	}
+
+	var wg sync.WaitGroup
+	got := make([][]float64, queued+racers)
+	errs := make([]error, queued+racers)
+	submit := func(k int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = s.Do(request(k))
+		}()
+	}
+	for k := range queued {
+		submit(k)
+	}
+	waitFor(t, "requests queued", func() bool { return s.Stats().QueuedJobs == queued })
+	for range procs {
+		gate <- struct{}{} // each frees one dispatcher for one batch
+	}
+	for k := queued; k < queued+racers; k++ {
+		submit(k)
+	}
+	s.Close()
+	wg.Wait()
+
+	answered := int64(0)
+	for k, err := range errs {
+		switch {
+		case err == nil:
+			answered++
+			want, perr := fw.Predict(model, request(k))
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			for i := range want {
+				if got[k][i] != want[i] {
+					t.Fatalf("request %d row %d: %v, want %v", k, i, got[k][i], want[i])
+				}
+			}
+		case k < queued:
+			t.Fatalf("request %d admitted before Close was dropped: %v", k, err)
+		case !errors.Is(err, ErrClosed):
+			t.Fatalf("racer %d: %v, want an answer or ErrClosed", k, err)
+		}
+	}
+	if st := s.Stats(); st.Requests != answered || st.Batches != answered {
+		t.Fatalf("%d answered, stats count %d requests in %d batches", answered, st.Requests, st.Batches)
 	}
 }
 

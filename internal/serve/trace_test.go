@@ -5,19 +5,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// TestBatchTraceLinksEveryRequest: N concurrent traced requests coalesce
-// into one batch whose trace root links exactly the N request traces, and
-// each request span gets the queue_wait / batch_compute / scatter phases
-// that partition its enqueue→scatter interval.
+// TestBatchTraceLinksEveryRequest: N traced requests queued behind busy
+// dispatchers coalesce into one batch whose trace root links exactly the N
+// request traces, and each request span gets the queue_wait / batch_compute
+// / scatter phases that partition its enqueue→scatter interval.
 func TestBatchTraceLinksEveryRequest(t *testing.T) {
 	const n = 4
 	tracer := obs.NewTracer(16)
-	s, _, _, testX := newTestBatcher(t, Config{MaxBatch: n, MaxWait: 5 * time.Second, Obs: tracer})
+	s, gate, _, _, testX := newGatedBatcher(t, Config{Obs: tracer})
 
 	reqTraces := make([]*obs.Trace, n)
 	var wg sync.WaitGroup
@@ -34,6 +33,8 @@ func TestBatchTraceLinksEveryRequest(t *testing.T) {
 			tracer.Finish(tr)
 		}(c)
 	}
+	waitFor(t, "all requests queued", func() bool { return s.Stats().QueuedJobs == n })
+	gate <- struct{}{}
 	wg.Wait()
 
 	var batchID string
@@ -126,7 +127,7 @@ func TestBatchTraceLinksEveryRequest(t *testing.T) {
 // traces but the latency histograms still fill — histograms are always
 // live, tracing is opt-in.
 func TestUntracedRequestsStillObserved(t *testing.T) {
-	s, _, _, testX := newTestBatcher(t, Config{MaxWait: time.Millisecond})
+	s, _, _, testX := newTestBatcher(t, Config{})
 	if _, err := s.Do(testX[:1]); err != nil {
 		t.Fatal(err)
 	}

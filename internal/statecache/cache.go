@@ -4,11 +4,21 @@
 // for the training Gram matrix should never be recomputed for the inference
 // kernel, a second fit, or a redundant shard of the no-messaging strategy.
 //
-// The cache is a concurrency-safe LRU bounded by a byte budget rather than
-// an entry count. Each entry is costed by the actual payload of its site
-// tensors (mps.MemoryBytes), which grows as O(m·χ²) — so the budget is
-// χ-aware: a few high-bond-dimension states displace many cheap product-like
-// states, and the resident set always fits the configured memory.
+// The cache is a concurrency-safe segmented LRU bounded by a byte budget
+// rather than an entry count. Each entry is costed by the heap its state
+// really holds (EntryBytes: the site payloads, which grow as O(m·χ²), plus
+// the per-site and per-entry headers) — so the budget is χ-aware: a few
+// high-bond-dimension states displace many cheap product-like states, and
+// the resident set fits the configured memory.
+//
+// The two segments make the cache scan-resistant. A first-time entry goes
+// to the probation segment, which holds at most a quarter of the budget (a
+// state larger than that share is still admitted, alone). A hit promotes the
+// entry to the protected segment. Victims come from the probation tail
+// first and from the protected tail only when probation has nothing else to
+// give. So a stream of rows that are never asked for again — a server
+// answering fresh requests — churns a quarter of the budget instead of the
+// whole of it, and cannot flush a pool of states that are actually reused.
 //
 // Keys are 128-bit FNV-1a fingerprints of the full simulation context
 // (feature-map ansatz and simulator configuration) plus the exact bit
@@ -37,9 +47,14 @@ import (
 )
 
 // entryOverheadBytes approximates the bookkeeping cost per resident entry
-// (map bucket share, list element, MPS header and tensor headers) charged
-// against the budget on top of the tensor payload.
-const entryOverheadBytes = 256
+// (map bucket share, list element, cache entry and MPS header) and
+// siteOverheadBytes the headers each site adds beside its payload (the
+// *tensor.Tensor, its Shape array and its slot in MPS.Sites); both are
+// charged against the budget on top of the tensor payload.
+const (
+	entryOverheadBytes = 256
+	siteOverheadBytes  = 80
+)
 
 // Key identifies a simulated state: a 128-bit hash of the simulation context
 // and the data row. The zero Key is valid (it is simply a key no fingerprint
@@ -86,11 +101,11 @@ func KeyFor(context string, x []float64) Key {
 }
 
 // EntryBytes is the budget cost of caching st: its tensor payload plus the
-// per-entry bookkeeping overhead. Exported so callers can size budgets
-// (e.g. budget ≈ expectedResidentStates × EntryBytes of a representative
-// state).
+// per-site and per-entry headers — the heap a resident entry holds alive.
+// Exported so callers can size budgets (e.g. budget ≈ expectedResidentStates
+// × EntryBytes of a representative state).
 func EntryBytes(st *mps.MPS) int64 {
-	return st.MemoryBytes() + entryOverheadBytes
+	return st.MemoryBytes() + int64(len(st.Sites))*siteOverheadBytes + entryOverheadBytes
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -101,14 +116,16 @@ type Stats struct {
 	// Misses counts lookups that found nothing (for GetOrCompute, the
 	// requests that ran the computation themselves).
 	Misses int64
-	// Evictions counts entries displaced to keep Bytes within Budget.
+	// Evictions counts entries displaced to keep Bytes within Budget and
+	// the probation segment within its quarter of it.
 	Evictions int64
 	// Rejected counts states too large to ever fit the budget; they are
 	// returned to the caller but not retained.
 	Rejected int64
-	// Entries is the current resident entry count.
+	// Entries is the current resident entry count, both segments.
 	Entries int
-	// Bytes is the current resident cost (≤ Budget at all times).
+	// Bytes is the current resident cost of both segments (≤ Budget at all
+	// times).
 	Bytes int64
 	// Budget is the configured byte budget.
 	Budget int64
@@ -132,9 +149,10 @@ func (s Stats) HitRate() float64 {
 }
 
 type entry struct {
-	key   Key
-	st    *mps.MPS
-	bytes int64
+	key       Key
+	st        *mps.MPS
+	bytes     int64
+	protected bool // which segment holds the entry
 }
 
 // call is one in-flight computation being shared by concurrent requesters.
@@ -142,18 +160,25 @@ type call struct {
 	done chan struct{}
 	st   *mps.MPS
 	err  error
+	// joined records that another requester joined the flight — a hit on
+	// the entry before it was even resident, so it is admitted protected.
+	joined bool
 }
 
-// Cache is the χ-aware byte-budgeted LRU. The zero value is not usable;
-// construct with New. A nil *Cache is valid everywhere and behaves as a
-// disabled cache (every lookup misses, nothing is retained).
+// Cache is the χ-aware byte-budgeted segmented LRU. The zero value is not
+// usable; construct with New. A nil *Cache is valid everywhere and behaves
+// as a disabled cache (every lookup misses, nothing is retained).
 type Cache struct {
-	mu       sync.Mutex
-	budget   int64
-	bytes    int64
-	ll       *list.List // front = most recently used; values are *entry
-	items    map[Key]*list.Element
-	inflight map[Key]*call
+	mu     sync.Mutex
+	budget int64
+	bytes  int64 // both segments
+	// probation holds entries not yet hit since insertion and protected the
+	// ones that were; front = most recent, values are *entry. probBytes is
+	// probation's share of bytes.
+	probation, protected *list.List
+	probBytes            int64
+	items                map[Key]*list.Element
+	inflight             map[Key]*call
 
 	hits, misses, evictions, rejected int64
 	computeWall, waitWall             time.Duration
@@ -164,14 +189,16 @@ type Cache struct {
 // use a nil *Cache instead.
 func New(budgetBytes int64) *Cache {
 	return &Cache{
-		budget:   budgetBytes,
-		ll:       list.New(),
-		items:    make(map[Key]*list.Element),
-		inflight: make(map[Key]*call),
+		budget:    budgetBytes,
+		probation: list.New(),
+		protected: list.New(),
+		items:     make(map[Key]*list.Element),
+		inflight:  make(map[Key]*call),
 	}
 }
 
-// Get returns the cached state for k, marking it most recently used.
+// Get returns the cached state for k, promoting it to the front of the
+// protected segment.
 func (c *Cache) Get(k Key) (*mps.MPS, bool) {
 	if c == nil {
 		return nil, false
@@ -179,22 +206,20 @@ func (c *Cache) Get(k Key) (*mps.MPS, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry).st, true
+		return c.hit(el), true
 	}
 	c.misses++
 	return nil, false
 }
 
 // Probe returns the resident state for k without ever counting a miss: a
-// found entry is refreshed in LRU order and counted as a hit exactly like
-// Get, while an absent one leaves every counter untouched. It is the
-// allocation-free fast path for hot loops that keep their own fallback —
-// a caller that probes and then falls back to GetOrCompute on absence ends
-// up with the same counter totals as calling GetOrCompute alone. Probe never
-// joins an in-flight computation (that requires blocking, which the fallback
-// path provides).
+// found entry is promoted and counted as a hit exactly like Get, while an
+// absent one leaves every counter untouched. Beyond an entry's one
+// promotion it allocates nothing: it is the fast path for hot loops that
+// keep their own fallback — a caller that probes and then falls back to
+// GetOrCompute on absence ends up with the same counter totals as calling
+// GetOrCompute alone. Probe never joins an in-flight computation (that
+// requires blocking, which the fallback path provides).
 func (c *Cache) Probe(k Key) (*mps.MPS, bool) {
 	if c == nil {
 		return nil, false
@@ -202,15 +227,32 @@ func (c *Cache) Probe(k Key) (*mps.MPS, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry).st, true
+		return c.hit(el), true
 	}
 	return nil, false
 }
 
-// Put inserts (or refreshes) the state for k, evicting least-recently-used
-// entries until the budget holds. States whose cost alone exceeds the budget
+// hit counts a hit on a resident entry and promotes it: a probation entry
+// moves to the protected segment, a protected one to its front. Promotion
+// moves bytes between segments without changing the total, so it never
+// evicts. Callers hold c.mu.
+func (c *Cache) hit(el *list.Element) *mps.MPS {
+	c.hits++
+	e := el.Value.(*entry)
+	if e.protected {
+		c.protected.MoveToFront(el)
+	} else {
+		c.probation.Remove(el)
+		c.probBytes -= e.bytes
+		e.protected = true
+		c.items[e.key] = c.protected.PushFront(e)
+	}
+	return e.st
+}
+
+// Put inserts (or refreshes) the state for k. A new key enters probation; a
+// resident one keeps its segment and moves to its front. Entries are then
+// evicted until both bounds hold. States whose cost alone exceeds the budget
 // are rejected rather than flushing the whole cache.
 func (c *Cache) Put(k Key, st *mps.MPS) {
 	if c == nil {
@@ -218,50 +260,81 @@ func (c *Cache) Put(k Key, st *mps.MPS) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(k, st)
+	c.put(k, st, false)
 }
 
-// put is Put without locking; callers hold c.mu.
-func (c *Cache) put(k Key, st *mps.MPS) {
+// put is Put without locking; callers hold c.mu. A new key enters the
+// protected segment directly when hot (it was hit while in flight).
+func (c *Cache) put(k Key, st *mps.MPS, hot bool) {
 	cost := EntryBytes(st)
+	el, resident := c.items[k]
 	if cost > c.budget {
 		// Never admit a state that cannot fit — and drop any stale entry
 		// under the same key rather than flushing unrelated residents to
 		// make room for something that still would not fit.
-		if el, ok := c.items[k]; ok {
-			e := el.Value.(*entry)
-			c.ll.Remove(el)
-			delete(c.items, k)
-			c.bytes -= e.bytes
+		if resident {
+			c.remove(el)
 		}
 		c.rejected++
 		return
 	}
-	if el, ok := c.items[k]; ok {
+	if resident {
 		// Refresh: same key, possibly re-simulated state.
 		e := el.Value.(*entry)
 		c.bytes += cost - e.bytes
+		if !e.protected {
+			c.probBytes += cost - e.bytes
+		}
 		e.st, e.bytes = st, cost
-		c.ll.MoveToFront(el)
-		c.evictOverBudget()
-		return
+		c.segment(e).MoveToFront(el)
+	} else {
+		e := &entry{key: k, st: st, bytes: cost, protected: hot}
+		el = c.segment(e).PushFront(e)
+		c.items[k] = el
+		c.bytes += cost
+		if !hot {
+			c.probBytes += cost
+		}
 	}
-	c.items[k] = c.ll.PushFront(&entry{key: k, st: st, bytes: cost})
-	c.bytes += cost
-	c.evictOverBudget()
+	c.evict(el)
 }
 
-func (c *Cache) evictOverBudget() {
-	for c.bytes > c.budget {
-		back := c.ll.Back()
-		if back == nil {
+// evict restores the two bounds — probation within a quarter of the budget,
+// both segments within the budget — never evicting keep, the entry just
+// written. Victims come from the probation tail first; the protected tail
+// gives only when probation holds nothing but keep.
+func (c *Cache) evict(keep *list.Element) {
+	for {
+		var victim *list.Element
+		if back := c.probation.Back(); back != nil && back != keep && (c.probBytes > c.budget/4 || c.bytes > c.budget) {
+			victim = back
+		} else if back := c.protected.Back(); back != nil && back != keep && c.bytes > c.budget {
+			victim = back
+		}
+		if victim == nil {
 			return
 		}
-		e := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
+		c.remove(victim)
 		c.evictions++
+	}
+}
+
+// segment returns the list holding e.
+func (c *Cache) segment(e *entry) *list.List {
+	if e.protected {
+		return c.protected
+	}
+	return c.probation
+}
+
+// remove drops a resident entry from its segment and the index.
+func (c *Cache) remove(el *list.Element) {
+	e := el.Value.(*entry)
+	c.segment(e).Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+	if !e.protected {
+		c.probBytes -= e.bytes
 	}
 }
 
@@ -287,17 +360,17 @@ func (c *Cache) GetOrComputeTraced(k Key, sp *obs.Span, compute func() (*mps.MPS
 	}
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		st = el.Value.(*entry).st
+		st = c.hit(el)
 		c.mu.Unlock()
 		sp.Event("cache_hit")
 		return st, true, nil
 	}
 	if cl, ok := c.inflight[k]; ok {
 		// Join the in-flight simulation: counts as a hit — a simulation
-		// was avoided even though the result is not resident yet.
+		// was avoided even though the result is not resident yet — and
+		// makes the result enter the protected segment.
 		c.hits++
+		cl.joined = true
 		c.mu.Unlock()
 		t0 := time.Now()
 		<-cl.done
@@ -321,7 +394,7 @@ func (c *Cache) GetOrComputeTraced(k Key, sp *obs.Span, compute func() (*mps.MPS
 	c.computeWall += elapsed
 	delete(c.inflight, k)
 	if cl.err == nil {
-		c.put(k, cl.st)
+		c.put(k, cl.st, cl.joined)
 	}
 	c.mu.Unlock()
 	close(cl.done)
@@ -341,7 +414,7 @@ func (c *Cache) Stats() Stats {
 		Misses:      c.misses,
 		Evictions:   c.evictions,
 		Rejected:    c.rejected,
-		Entries:     c.ll.Len(),
+		Entries:     len(c.items),
 		Bytes:       c.bytes,
 		Budget:      c.budget,
 		ComputeWall: c.computeWall,

@@ -47,36 +47,131 @@ func negZero() float64 {
 	return -z
 }
 
-// TestEvictionOrder: with a budget for exactly three equal-cost states, a
-// fourth insert evicts the least recently used, and a Get refreshes recency.
+// TestEvictionOrder: with a budget for exactly four equal-cost states (so
+// probation holds one), victims come from the probation tail first — even
+// when a protected entry is older — and from the protected LRU tail only
+// when probation holds nothing but the entry just written; a Get refreshes
+// protected recency.
 func TestEvictionOrder(t *testing.T) {
-	st := zeroState(8)
-	cost := EntryBytes(st)
-	c := New(3 * cost)
+	cost := EntryBytes(zeroState(8))
+	c := New(4 * cost)
 
 	for i := 0; i < 3; i++ {
 		c.Put(key(i), zeroState(8))
+		if _, ok := c.Get(key(i)); !ok { // promote: protected holds 2, 1, 0
+			t.Fatalf("key %d missing right after Put", i)
+		}
 	}
-	// Touch key 0 so key 1 becomes the LRU victim.
+	// Touch key 0 so key 1 becomes the protected LRU entry.
 	if _, ok := c.Get(key(0)); !ok {
 		t.Fatal("key 0 missing before eviction")
 	}
-	c.Put(key(3), zeroState(8))
-
-	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("LRU entry (key 1) survived eviction")
+	c.Put(key(3), zeroState(8)) // fills the budget exactly
+	c.Put(key(4), zeroState(8)) // probation over its share: evicts key 3
+	if s := c.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions = %d after the probation overflow, want 1", s.Evictions)
 	}
-	for _, i := range []int{0, 2, 3} {
+	if _, ok := c.Get(key(4)); !ok { // promote: protected holds 4, 0, 2, 1
+		t.Fatal("key 4 missing right after Put")
+	}
+	c.Put(key(5), zeroState(8)) // over budget, probation holds only key 5: evicts key 1
+
+	for _, i := range []int{3, 1} {
+		if _, ok := c.Get(key(i)); ok {
+			t.Fatalf("key %d survived eviction", i)
+		}
+	}
+	for _, i := range []int{0, 2, 4, 5} {
 		if _, ok := c.Get(key(i)); !ok {
-			t.Fatalf("key %d was evicted out of LRU order", i)
+			t.Fatalf("key %d was evicted out of segment order", i)
 		}
 	}
 	s := c.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
+	if s.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", s.Evictions)
 	}
-	if s.Entries != 3 || s.Bytes != 3*cost {
-		t.Fatalf("resident %d entries / %d bytes, want 3 / %d", s.Entries, s.Bytes, 3*cost)
+	if s.Entries != 4 || s.Bytes != 4*cost {
+		t.Fatalf("resident %d entries / %d bytes, want 4 / %d", s.Entries, s.Bytes, 4*cost)
+	}
+}
+
+// TestScanStaysInProbation: a pure scan — ten budgets' worth of keys, each
+// inserted once and never read — never holds more than a quarter of the
+// budget, and every displaced entry is counted as an eviction.
+func TestScanStaysInProbation(t *testing.T) {
+	cost := EntryBytes(zeroState(8))
+	budget := 64 * cost
+	c := New(budget)
+	const n = 640
+	for i := 0; i < n; i++ {
+		c.Put(key(i), zeroState(8))
+		if s := c.Stats(); s.Bytes > budget/4 {
+			t.Fatalf("after insert %d: %d bytes resident, want ≤ budget/4 = %d", i, s.Bytes, budget/4)
+		}
+	}
+	s := c.Stats()
+	if s.Entries != 16 || s.Evictions != int64(n-s.Entries) {
+		t.Fatalf("after the scan: %d entries, %d evictions; want 16 and %d", s.Entries, s.Evictions, n-16)
+	}
+}
+
+// TestHitOnceSurvivesScan: a key read once after insertion is protected, so
+// a later scan of ten budgets' worth of one-off keys cannot flush it.
+func TestHitOnceSurvivesScan(t *testing.T) {
+	cost := EntryBytes(zeroState(8))
+	budget := 64 * cost
+	c := New(budget)
+	hot := zeroState(8)
+	c.Put(key(-1), hot)
+	if _, ok := c.Get(key(-1)); !ok {
+		t.Fatal("hot key missing right after Put")
+	}
+	for i := 0; i < 640; i++ {
+		c.Put(key(i), zeroState(8))
+	}
+	if st, ok := c.Get(key(-1)); !ok || st != hot {
+		t.Fatal("a scan flushed the key that had been hit")
+	}
+	if s := c.Stats(); s.Bytes > budget || s.Evictions == 0 {
+		t.Fatalf("scan accounting: %+v", s)
+	}
+}
+
+// TestInFlightJoinAdmitsProtected: a requester that joins an in-flight
+// computation is a hit, so the result is admitted to the protected segment
+// and survives a later scan.
+func TestInFlightJoinAdmitsProtected(t *testing.T) {
+	c := New(64 * EntryBytes(zeroState(8)))
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = c.GetOrCompute(key(-1), func() (*mps.MPS, error) {
+			<-release
+			return zeroState(8), nil
+		})
+	}()
+	for c.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		if _, hit, _ := c.GetOrCompute(key(-1), func() (*mps.MPS, error) { return zeroState(8), nil }); !hit {
+			t.Error("second requester did not join the flight")
+		}
+	}()
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	<-done
+	<-joined
+	for i := 0; i < 640; i++ {
+		c.Put(key(i), zeroState(8))
+	}
+	if _, ok := c.Probe(key(-1)); !ok {
+		t.Fatal("a scan flushed the state a joiner had hit")
 	}
 }
 
@@ -116,12 +211,18 @@ func TestOversizeStateRejected(t *testing.T) {
 
 // TestOversizeRefreshRejected: refreshing a resident key with a state too
 // large for the whole budget must reject (dropping the stale entry), not
-// flush unrelated residents.
+// flush unrelated residents. Both keys are hit once so they sit in the
+// protected segment, where the small budget's probation share cannot touch
+// them.
 func TestOversizeRefreshRejected(t *testing.T) {
 	small := zeroState(4)
 	c := New(3 * EntryBytes(small))
-	c.Put(key(0), zeroState(4))
-	c.Put(key(1), zeroState(4))
+	for i := 0; i < 2; i++ {
+		c.Put(key(i), zeroState(4))
+		if _, ok := c.Get(key(i)); !ok {
+			t.Fatalf("key %d missing right after Put", i)
+		}
+	}
 	c.Put(key(0), zeroState(64)) // oversize refresh of a resident key
 	if _, ok := c.Get(key(0)); ok {
 		t.Fatal("oversize refresh left an entry resident")
@@ -416,16 +517,17 @@ func TestProbeCounterNeutralOnAbsence(t *testing.T) {
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("probe hit accounting wrong: %+v", s)
 	}
-	// LRU refresh: probing key 1 must protect it from eviction over key 2.
-	c2 := New(2 * EntryBytes(st))
+	// Promotion: probing key 1 must protect it from eviction; key 2, never
+	// read, is the victim once key 3 overflows probation's one-entry share.
+	c2 := New(4 * EntryBytes(st))
 	c2.Put(key(1), st)
-	c2.Put(key(2), zeroState(4))
 	if _, ok := c2.Probe(key(1)); !ok {
 		t.Fatal("setup: key 1 not resident")
 	}
-	c2.Put(key(3), zeroState(4)) // evicts key 2, the LRU entry after the probe
+	c2.Put(key(2), zeroState(4))
+	c2.Put(key(3), zeroState(4)) // evicts key 2, the probation tail
 	if _, ok := c2.Probe(key(1)); !ok {
-		t.Fatal("probe did not refresh LRU order: key 1 evicted")
+		t.Fatal("probe did not promote: key 1 evicted")
 	}
 	if _, ok := c2.Get(key(2)); ok {
 		t.Fatal("key 2 should have been the eviction victim")
