@@ -97,6 +97,11 @@ func runTrain(args []string) int {
 		strategy, dist.TransportName(transport), *procs, report.GramWall.Round(time.Millisecond),
 		report.SimWall.Round(time.Millisecond), report.InnerWall.Round(time.Millisecond),
 		report.CommWall.Round(time.Millisecond), report.BestC, report.TrainAUC, report.SupportVecs)
+	if model.Calibrated() {
+		fmt.Printf("kept all %d proper-training rows (calibrated models are not pruned)\n", len(model.TrainX))
+	} else {
+		fmt.Printf("kept %d of %d training rows (α ≠ 0)\n", len(model.TrainX), train.Len())
+	}
 	if report.Retries+report.Timeouts+report.RecoveredRows > 0 {
 		fmt.Printf("fault recovery: %d send retries, %d recv timeouts, %d rows recovered locally\n",
 			report.Retries, report.Timeouts, report.RecoveredRows)

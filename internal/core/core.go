@@ -308,23 +308,30 @@ func (f *Framework) Options() Options {
 }
 
 // Model bundles the trained SVM with the training inputs needed at
-// inference time.
+// inference time. A score-only model keeps only the training rows the
+// decision function reads: those with α ≠ 0, in their original order.
+// SVM.Alpha, SVM.Y, TrainX, TrainY and States are aligned on them, so a
+// served row costs one overlap per kept row and not one per row the SVM was
+// trained on (a model whose α are all 0 keeps row 0, and decides B). A
+// calibrated model keeps every proper-training row (see pruneRows).
 type Model struct {
-	SVM    *svm.Model
+	SVM *svm.Model
+	// TrainX / TrainY are the kept training rows (already rescaled into
+	// (0,2)) and their ±1 labels.
 	TrainX [][]float64
 	TrainY []int
-	// States are the retained training-stage MPS handles — the paper's
-	// "store the MPS" option. While present, Predict computes the inference
-	// kernel directly against them (zero training-set re-simulation, zero
-	// simulated communication). Nil when Options.CacheBytes is negative
-	// (the memory-bounded opt-out) or after deserialising a model; Predict
-	// then falls back to re-simulating the training rows through the state
-	// cache.
+	// States are the retained MPS handles of the kept training rows — the
+	// paper's "store the MPS" option. While present, Predict computes the
+	// inference kernel directly against them (zero training-set
+	// re-simulation, zero simulated communication). Nil when
+	// Options.CacheBytes is negative (the memory-bounded opt-out) or when
+	// their payload alone exceeds the budget; Predict then falls back to
+	// re-simulating the kept rows through the state cache.
 	States []*mps.MPS
 	// Conformal is the split-conformal set predictor calibrated during Fit
 	// when Options.CalibFrac > 0; nil on a score-only model. When present,
-	// TrainX/TrainY/States hold the proper-training subset only (the SVM
-	// never saw the calibration rows).
+	// TrainX/TrainY/States hold the whole proper-training subset, α = 0 rows
+	// included (the SVM never saw the calibration rows).
 	Conformal *conformal.Predictor
 
 	// opts and fingerprint capture the training context for persistence:
@@ -494,8 +501,9 @@ func (f *Framework) FitCtx(ctx context.Context, X [][]float64, y []int) (*Model,
 	svmSp.SetAttr("best_c", report.BestC)
 	svmSp.SetAttr("support_vecs", report.SupportVecs)
 	svmSp.End()
+	trainX, trainY, states := pruneRows(model, X, y, res.States)
 	return &Model{
-		SVM: model, TrainX: X, TrainY: y, States: f.retainStates(res.States),
+		SVM: model, TrainX: trainX, TrainY: trainY, States: f.retainStates(states),
 		opts: f.opts, fingerprint: f.q.Fingerprint(),
 	}, report, nil
 }
@@ -572,22 +580,53 @@ func (f *Framework) fitCalibrated(fitSp *obs.Span, res *dist.Result, X [][]float
 		return nil, nil, fmt.Errorf("core: sdt: %w", err)
 	}
 
-	properX := make([][]float64, len(properIdx))
-	for a, i := range properIdx {
-		properX[a] = X[i]
-	}
-	var properStates []*mps.MPS
-	if res.States != nil {
-		properStates = make([]*mps.MPS, len(properIdx))
-		for a, i := range properIdx {
-			properStates[a] = res.States[i]
-		}
-	}
 	return &Model{
-		SVM: model, TrainX: properX, TrainY: subY,
-		States: f.retainStates(properStates), Conformal: pred,
+		SVM: model, TrainX: pick(X, properIdx), TrainY: subY,
+		States: f.retainStates(pick(res.States, properIdx)), Conformal: pred,
 		opts: f.opts, fingerprint: f.q.Fingerprint(),
 	}, report, nil
+}
+
+// pruneRows narrows a trained model to the training rows its decision
+// function reads — α ≠ 0, in their original order — rewriting sv.Alpha and
+// sv.Y and returning the matching rows, labels and states (MPS handles or
+// their wire form). svm.Decision skips exactly the α = 0 terms and sums the
+// rest in row order, so every decision stays ==; SupportVectors' α > 1e-9
+// would drop rows that still move the sum. With no α ≠ 0 it keeps row 0 (a
+// model file needs one row); that term is skipped and the decision is B.
+//
+// Calibrated models are not pruned. Their α = 0 share follows the C the
+// selection picks on the proper subset: over eleven datasets of one shape
+// (64 qubits, 205 proper rows) it ranged from none to 19 %, so pruned files
+// of one shape would differ in size by a fifth. Unpruned, a calibrated
+// model's size and serving cost are a function of its shape alone.
+func pruneRows[S any](sv *svm.Model, x [][]float64, y []int, states []S) ([][]float64, []int, []S) {
+	keep := make([]int, 0, len(sv.Alpha))
+	for i, a := range sv.Alpha {
+		if a != 0 {
+			keep = append(keep, i)
+		}
+	}
+	switch len(keep) {
+	case len(sv.Alpha):
+		return x, y, states
+	case 0:
+		keep = append(keep, 0)
+	}
+	sv.Alpha, sv.Y = pick(sv.Alpha, keep), pick(sv.Y, keep)
+	return pick(x, keep), pick(y, keep), pick(states, keep)
+}
+
+// pick returns s's entries at idx, in idx order (nil for a nil s).
+func pick[T any](s []T, idx []int) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(idx))
+	for a, i := range idx {
+		out[a] = s[i]
+	}
+	return out
 }
 
 // calibSplit deterministically partitions row indices 0..n−1 for split

@@ -147,8 +147,8 @@ func TestPredictZeroResimulation(t *testing.T) {
 	if report.CacheMisses != train.Len() || report.CacheHits != 0 {
 		t.Fatalf("cold fit: hits/misses %d/%d, want 0/%d", report.CacheHits, report.CacheMisses, train.Len())
 	}
-	if len(model.States) != train.Len() {
-		t.Fatalf("model retains %d states for %d training rows", len(model.States), train.Len())
+	if len(model.States) != len(model.TrainX) {
+		t.Fatalf("model retains %d states for %d training rows", len(model.States), len(model.TrainX))
 	}
 
 	before := fw.CacheStats()

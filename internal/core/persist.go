@@ -5,7 +5,8 @@
 //
 // The file captures everything inference needs: the framework options (the
 // ansatz hyperparameters and runtime knobs), the trained SVM (reusing the
-// validated JSON codec of internal/svm), the training rows and labels, and —
+// validated JSON codec of internal/svm), the training rows the model keeps
+// (on a score-only model, those with α ≠ 0) and their labels, and —
 // when the model retained them — the simulated training states themselves
 // (mps.MarshalBinary payloads), so a loaded model predicts communication-free
 // without re-simulating a single training row. The kernel's simulation-context
@@ -93,11 +94,11 @@ type modelFile struct {
 	Fingerprint string
 	// SVM is the trained solver in its validated JSON form.
 	SVM []byte
-	// TrainX / TrainY are the training rows (already rescaled into (0,2))
-	// and their ±1 labels.
+	// TrainX / TrainY are the kept training rows (see Model; already
+	// rescaled into (0,2)) and their ±1 labels.
 	TrainX [][]float64
 	TrainY []int
-	// States holds one mps.MarshalBinary payload per training row when the
+	// States holds one mps.MarshalBinary payload per kept row when the
 	// model retained its handles; empty when it did not (the loaded model
 	// then re-simulates training rows through the state cache on demand).
 	States [][]byte
@@ -299,28 +300,6 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	if len(sv.Alpha) != len(mf.TrainY) {
 		return nil, nil, fmt.Errorf("%w: svm has %d coefficients for %d training rows", ErrCorruptModel, len(sv.Alpha), len(mf.TrainY))
 	}
-	// Rehydrate the training states only within the loader's memory policy:
-	// a negative (tuned) budget is the documented memory-for-compute
-	// opt-out, and retainStates also drops a set whose payload alone would
-	// exceed a positive budget — the same rules Fit applies.
-	var states []*mps.MPS
-	if len(mf.States) > 0 && fw.cacheBudget >= 0 {
-		if len(mf.States) != len(mf.TrainX) {
-			return nil, nil, fmt.Errorf("%w: %d states for %d training rows", ErrCorruptModel, len(mf.States), len(mf.TrainX))
-		}
-		states = make([]*mps.MPS, len(mf.States))
-		for i, blob := range mf.States {
-			st, err := mps.UnmarshalBinary(blob, fw.q.Config)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: training state %d: %w", ErrCorruptModel, i, err)
-			}
-			if st.N != fw.opts.Features {
-				return nil, nil, fmt.Errorf("%w: training state %d has %d qubits, model has %d", ErrCorruptModel, i, st.N, fw.opts.Features)
-			}
-			states[i] = st
-		}
-		states = fw.retainStates(states)
-	}
 	// Rehydrate the conformal predictor when the file carries one; a
 	// score-only file (every version-1 file, or a version-2 save with
 	// CalibFrac = 0) leaves it nil and the model serves scores exactly as
@@ -332,8 +311,41 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 			return nil, nil, fmt.Errorf("%w: %w", ErrCorruptModel, err)
 		}
 	}
+	// Rehydrate the training states only within the loader's memory policy:
+	// a negative (tuned) budget is the documented memory-for-compute
+	// opt-out, and retainStates also drops a set whose payload alone would
+	// exceed a positive budget — the same rules Fit applies, to the same
+	// rows. A score-only file holding α = 0 rows (saved before Fit pruned)
+	// loads without them, and their states are never decoded; a calibrated
+	// file loads every row, as Fit keeps them.
+	blobs := mf.States
+	if fw.cacheBudget < 0 {
+		blobs = nil
+	}
+	if len(blobs) > 0 && len(blobs) != len(mf.TrainX) {
+		return nil, nil, fmt.Errorf("%w: %d states for %d training rows", ErrCorruptModel, len(blobs), len(mf.TrainX))
+	}
+	trainX, trainY := mf.TrainX, mf.TrainY
+	if pred == nil {
+		trainX, trainY, blobs = pruneRows(sv, trainX, trainY, blobs)
+	}
+	var states []*mps.MPS
+	if len(blobs) > 0 {
+		states = make([]*mps.MPS, len(blobs))
+		for i, blob := range blobs {
+			st, err := mps.UnmarshalBinary(blob, fw.q.Config)
+			if err != nil {
+				return nil, nil, fmt.Errorf("%w: training state %d: %w", ErrCorruptModel, i, err)
+			}
+			if st.N != fw.opts.Features {
+				return nil, nil, fmt.Errorf("%w: training state %d has %d qubits, model has %d", ErrCorruptModel, i, st.N, fw.opts.Features)
+			}
+			states[i] = st
+		}
+		states = fw.retainStates(states)
+	}
 	m := &Model{
-		SVM: sv, TrainX: mf.TrainX, TrainY: mf.TrainY, States: states,
+		SVM: sv, TrainX: trainX, TrainY: trainY, States: states,
 		Conformal: pred,
 		opts:      fw.opts, fingerprint: mf.Fingerprint,
 	}

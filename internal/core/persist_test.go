@@ -290,3 +290,33 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatalf("a 13-byte file made the decoder allocate %d MiB", grew>>20)
 	}
 }
+
+// BenchmarkDecodeModel times DecodeModel on a model of the train_wide shape:
+// 64 qubits, d = 1 (bond 2), trained on 256 rows, with the retained states
+// of the rows it keeps (reported as rows). Its allocs/op are dominated by the
+// per-state decode.
+func BenchmarkDecodeModel(b *testing.B) {
+	train, _ := preparedData(b, 64, 320)
+	fw, err := New(Options{Features: 64, Distance: 1, Gamma: 0.1, C: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, _, err := fw.Fit(train.X[:256], train.Y[:256])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	blob := buf.Bytes()
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeModel(bytes.NewReader(blob), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(model.TrainX)), "rows")
+}

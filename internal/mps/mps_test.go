@@ -407,6 +407,71 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	})
 }
 
+// TestUnmarshalOneSlab: a decoded state costs five allocations however many
+// sites it has (the MPS, its Sites slice, the tensor-header and shape blocks,
+// one payload slab), against 4·N+2 with a fresh header, shape, shape argument
+// and payload per site. Every site is a cap-limited window of the slab, so a gate that grows
+// a site reallocates it: the sites it does not act on keep their payloads.
+func TestUnmarshalOneSlab(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, c := range []struct {
+		name  string
+		a     circuit.Ansatz
+		grows bool // χ=32 is already the exact maximum at 10 qubits
+	}{
+		{"bond2_64q", circuit.Ansatz{Qubits: 64, Layers: 2, Distance: 1, Gamma: 0.1}, true},
+		{"bond32_10q", circuit.Ansatz{Qubits: 10, Layers: 2, Distance: 4, Gamma: 1.0}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob, err := buildAnsatzMPS(t, c.a, randomData(rng, c.a.Qubits), Config{}).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A Config without a backend gets a fresh serial one per state,
+			// which is Config's allocation, not the decoder's.
+			cfg := Config{Backend: backend.NewSerial()}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := UnmarshalBinary(blob, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs > 5 {
+				t.Fatalf("decoding a %d-site state allocates %.0f times, want ≤ 5", c.a.Qubits, allocs)
+			}
+
+			// Without the centre move the gate touches its two sites only.
+			m, err := UnmarshalBinary(blob, Config{SkipCanonicalization: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := make([][]complex128, m.N)
+			for i, s := range m.Sites {
+				if cap(s.Data) != len(s.Data) || cap(s.Shape) != 3 {
+					t.Fatalf("site %d: cap(Data) %d for len %d, cap(Shape) %d", i, cap(s.Data), len(s.Data), cap(s.Shape))
+				}
+				before[i] = append([]complex128(nil), s.Data...)
+			}
+			q := m.N/2 - 1
+			width := len(m.Sites[q].Data)
+			if err := m.ApplyGate(circuit.Gate{Name: "SWAP", Qubits: []int{q, q + 1}, Mat: gates.SWAP()}); err != nil {
+				t.Fatal(err)
+			}
+			if c.grows && len(m.Sites[q].Data) <= width {
+				t.Fatalf("SWAP left site %d at %d entries: the growth this test is about did not happen", q, width)
+			}
+			for i, s := range m.Sites {
+				if i == q || i == q+1 {
+					continue
+				}
+				for j := range s.Data {
+					if s.Data[j] != before[i][j] {
+						t.Fatalf("a gate on sites %d,%d changed site %d entry %d", q, q+1, i, j)
+					}
+				}
+			}
+		})
+	}
+}
+
 // Property: for random product-style circuits the kernel entry equals the
 // statevector result; checked across random ansatz draws.
 func TestPropertyKernelEntryMatchesOracle(t *testing.T) {

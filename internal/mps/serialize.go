@@ -41,7 +41,13 @@ func (m *MPS) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary reconstructs an MPS serialised by MarshalBinary, attaching
 // the given Config (backend, truncation policy) to the result. data may come
-// off the wire: nothing is allocated beyond what its length can back.
+// off the wire: a first pass checks every site header and payload bound
+// against the bytes actually present, allocating nothing. Only then is the
+// state built, in five allocations however many sites it has: the MPS, its
+// Sites slice, one block of tensor headers, one of shapes and one slab of
+// complex128 for every payload. Each site's Data is a cap-limited window of
+// the slab, so a gate that grows a site reallocates it instead of writing
+// into its neighbour.
 func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 	le := binary.LittleEndian
 	if len(data) < headerSize {
@@ -61,11 +67,10 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 	if math.IsNaN(truncErr) || truncErr < 0 {
 		return nil, fmt.Errorf("mps: invalid truncation error %v", truncErr)
 	}
-	m := &MPS{N: int(n), cfg: cfg.withDefaults(), center: int(center), TruncationError: truncErr}
-	m.Sites = make([]*tensor.Tensor, n)
-	rest := data[headerSize:]
-	prevR := 1
-	for i := range m.Sites {
+	body := data[headerSize:]
+	rest := body
+	prevR, entries := 1, 0
+	for i := 0; i < int(n); i++ {
 		if len(rest) < 8 {
 			return nil, fmt.Errorf("mps: site %d header: %w", i, io.ErrUnexpectedEOF)
 		}
@@ -82,17 +87,35 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 		if int64(l)*int64(rr) > int64(len(rest))/32 {
 			return nil, fmt.Errorf("mps: site %d payload: %w", i, io.ErrUnexpectedEOF)
 		}
-		site := make([]complex128, int(l)*2*int(rr))
-		for j := range site {
-			re, im := le.Uint64(rest[16*j:]), le.Uint64(rest[16*j+8:])
-			site[j] = complex(math.Float64frombits(re), math.Float64frombits(im))
-		}
-		rest = rest[16*len(site):]
-		m.Sites[i] = tensor.FromData(site, int(l), 2, int(rr))
+		rest = rest[32*int(l)*int(rr):]
+		entries += 2 * int(l) * int(rr)
 		prevR = int(rr)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("mps: %d trailing bytes", len(rest))
+	}
+
+	m := &MPS{N: int(n), cfg: cfg.withDefaults(), center: int(center), TruncationError: truncErr}
+	m.Sites = make([]*tensor.Tensor, n)
+	sites := make([]tensor.Tensor, n)
+	shapes := make([]int, 3*n)
+	slab := make([]complex128, entries)
+	rest = body
+	for i := range m.Sites {
+		l, rr := int(le.Uint32(rest)), int(le.Uint32(rest[4:]))
+		rest = rest[8:]
+		size := 2 * l * rr
+		site := slab[:size:size]
+		slab = slab[size:]
+		for j := range site {
+			re, im := le.Uint64(rest[16*j:]), le.Uint64(rest[16*j+8:])
+			site[j] = complex(math.Float64frombits(re), math.Float64frombits(im))
+		}
+		rest = rest[16*size:]
+		shape := shapes[3*i : 3*i+3 : 3*i+3]
+		shape[0], shape[1], shape[2] = l, 2, rr
+		sites[i] = tensor.Tensor{Shape: shape, Data: site}
+		m.Sites[i] = &sites[i]
 	}
 	return m, nil
 }

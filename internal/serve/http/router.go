@@ -370,11 +370,13 @@ func (rt *Router) handleModels(w http.ResponseWriter, _ *http.Request) {
 type modelHealth struct {
 	// Status is "ok", or "loading" while a reload verifies a new file (the
 	// previous generation keeps serving, so loading is not an outage).
-	Status         string `json:"status"`
-	Features       int    `json:"features"`
-	TrainRows      int    `json:"train_rows"`
-	SupportVectors int    `json:"support_vectors"`
-	StatesResident bool   `json:"states_resident"`
+	Status   string `json:"status"`
+	Features int    `json:"features"`
+	// TrainRows counts the training rows the model keeps, as in the
+	// /v1/models listing.
+	TrainRows      int  `json:"train_rows"`
+	SupportVectors int  `json:"support_vectors"`
+	StatesResident bool `json:"states_resident"`
 }
 
 // healthResponse is the GET /healthz body.

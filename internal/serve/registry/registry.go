@@ -362,8 +362,12 @@ type ModelInfo struct {
 	Status      string `json:"status"`
 	Fingerprint string `json:"fingerprint"`
 	Features    int    `json:"features"`
-	TrainRows   int    `json:"train_rows"`
-	SupportVecs int    `json:"support_vectors"`
+	// TrainRows counts the training rows the model keeps, and so the
+	// overlaps each served row costs: those with α ≠ 0 on a score-only
+	// model, every proper-training row on a calibrated one. SupportVecs
+	// counts those with α > 1e-9, so it can be smaller.
+	TrainRows   int `json:"train_rows"`
+	SupportVecs int `json:"support_vectors"`
 	// Chi is the largest bond dimension across the retained training
 	// states; 0 when the model re-simulates training rows on demand.
 	Chi            int   `json:"chi"`
