@@ -43,7 +43,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := kernel.ValidateGram(gramRes.Gram, 1e-8, false); err != nil {
 		t.Fatal(err)
 	}
-	crossRes, err := dist.ComputeCross(q, test.X, train.X, dist.Options{Procs: 4})
+	crossRes, err := dist.ComputeCrossStates(q, test.X, gramRes.States, dist.Options{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,9 @@ type Options struct {
 	// entirely). The budget is charged by actual MPS payload, so it adapts
 	// to the ansatz's bond dimension. A negative value is the full
 	// memory-for-compute opt-out: it also stops Fit from retaining the
-	// training-state handles on the Model, so Predict re-simulates the
-	// training rows instead of pinning them in memory.
+	// training-state handles on the Model, so each Predict simulates the
+	// kept training rows again and drops their states when it returns,
+	// instead of pinning them in memory.
 	CacheBytes int64
 	// CalibFrac enables conformal calibration: the fraction of training
 	// rows Fit holds out (deterministically, every ⌊1/CalibFrac⌋-th row) as
@@ -323,10 +324,11 @@ type Model struct {
 	// States are the retained MPS handles of the kept training rows — the
 	// paper's "store the MPS" option. While present, Predict computes the
 	// inference kernel directly against them (zero training-set
-	// re-simulation, zero simulated communication). Nil when
-	// Options.CacheBytes is negative (the memory-bounded opt-out) or when
-	// their payload alone exceeds the budget; Predict then falls back to
-	// re-simulating the kept rows through the state cache.
+	// re-simulation). Nil when Options.CacheBytes is negative (the
+	// memory-bounded opt-out) or when their payload alone exceeds the
+	// budget. Predict then materialises the kept rows' states through the
+	// state cache for that call only and computes the same
+	// communication-free kernel against them.
 	States []*mps.MPS
 	// Conformal is the split-conformal set predictor calibrated during Fit
 	// when Options.CalibFrac > 0; nil on a score-only model. When present,
@@ -744,7 +746,7 @@ func bothClasses(y []int, idx []int) bool {
 // Predict returns decision scores for new rows (positive ⇒ illicit class).
 // When the model retains its training-state handles (the default after
 // Fit), only the new rows are simulated; otherwise the training rows are
-// re-materialised through the state cache.
+// re-materialised through the state cache for the call.
 func (f *Framework) Predict(m *Model, X [][]float64) ([]float64, error) {
 	return f.PredictCtx(context.Background(), m, X)
 }
@@ -759,14 +761,18 @@ func (f *Framework) PredictCtx(ctx context.Context, m *Model, X [][]float64) ([]
 	sp := obs.SpanFromContext(ctx)
 	kSp := sp.Child("cross_kernel")
 	kSp.SetAttr("rows", len(X))
-	var res *dist.Result
+	states, path := m.States, "retained-states"
 	var err error
-	if m.States != nil {
-		kSp.SetAttr("path", "retained-states")
-		res, err = dist.ComputeCrossStates(f.q, X, m.States, f.distOptions(kSp))
-	} else {
-		kSp.SetAttr("path", "resimulate")
-		res, err = dist.ComputeCross(f.q, X, m.TrainX, f.distOptions(kSp))
+	if states == nil {
+		// A model without handles (see Model.States) materialises its kept
+		// training rows through the bounded state cache for this call only.
+		path = "resimulate"
+		states, err = f.q.States(m.TrainX)
+	}
+	kSp.SetAttr("path", path)
+	var res *dist.Result
+	if err == nil {
+		res, err = dist.ComputeCrossStates(f.q, X, states, f.distOptions(kSp))
 	}
 	kSp.End()
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,6 +183,84 @@ func TestPredictZeroResimulation(t *testing.T) {
 	end := fw.CacheStats()
 	if end.Misses != mid.Misses {
 		t.Fatalf("handle-less predict re-simulated %d states despite a warm cache", end.Misses-mid.Misses)
+	}
+}
+
+// TestPredictWithoutStatesTakesRetainedPath: a model that dropped its
+// training-state handles — the CacheBytes < 0 opt-out, or a budget smaller
+// than the state set — scores exactly as the same model with handles, on
+// every process count and wire, and sends no shard message: it takes the
+// retained-state path on states it materialises for the call. With the
+// training states still cached, it simulates only the test rows.
+func TestPredictWithoutStatesTakesRetainedPath(t *testing.T) {
+	fw, model, testX := fitSmallModel(t, Options{Features: 6, C: 1, Procs: 2})
+	var buf bytes.Buffer
+	if err := model.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var stateBytes int64
+	for _, st := range model.States {
+		stateBytes += st.MemoryBytes()
+	}
+	load := func(t *testing.T, tr dist.Transport, procs int, cacheBytes int64) (*Framework, *Model) {
+		t.Helper()
+		f, m, err := DecodeModel(bytes.NewReader(buf.Bytes()), func(o *Options) {
+			o.Transport, o.Procs, o.CacheBytes = tr, procs, cacheBytes
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, m
+	}
+	for _, tr := range []dist.Transport{dist.ChanTransport{}, dist.TCPTransport{}} {
+		for _, procs := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/procs=%d", dist.TransportName(tr), procs), func(t *testing.T) {
+				fwKeep, keep := load(t, tr, procs, 0)
+				if keep.States == nil {
+					t.Fatal("default load dropped the states")
+				}
+				want, err := fwKeep.Predict(keep, testX)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, budget := range []int64{-1, stateBytes / 2} {
+					fwDrop, drop := load(t, tr, procs, budget)
+					if drop.States != nil {
+						t.Fatalf("budget %d: load kept %d states", budget, len(drop.States))
+					}
+					before := fwDrop.CommStats()
+					got, err := fwDrop.Predict(drop, testX)
+					if err != nil {
+						t.Fatal(err)
+					}
+					after := fwDrop.CommStats()
+					if after.Messages != before.Messages || after.Bytes != before.Bytes {
+						t.Fatalf("budget %d: predict without states sent %d messages, %d bytes",
+							budget, after.Messages-before.Messages, after.Bytes-before.Bytes)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("budget %d: score %d is %v without states, %v with", budget, i, got[i], want[i])
+						}
+					}
+				}
+			})
+		}
+	}
+
+	// The Fit framework's cache still holds every training state.
+	dropped := *model
+	dropped.States = nil
+	before := fw.CacheStats()
+	if _, err := fw.Predict(&dropped, testX); err != nil {
+		t.Fatal(err)
+	}
+	after := fw.CacheStats()
+	if sims := after.Misses - before.Misses; sims != int64(len(testX)) {
+		t.Fatalf("warm predict without states simulated %d states, want only the %d test rows", sims, len(testX))
+	}
+	if hits := after.Hits - before.Hits; hits != int64(len(model.TrainX)) {
+		t.Fatalf("warm predict without states hit the cache %d times, want %d", hits, len(model.TrainX))
 	}
 }
 

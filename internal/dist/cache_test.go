@@ -58,35 +58,6 @@ func TestNoMessagingCacheCollapsesRedundancy(t *testing.T) {
 	}
 }
 
-// TestCrossReusesGramStates: after a ComputeGram on the training rows, the
-// inference kernel simulates only the test rows — the entire training shard
-// is served by the cache.
-func TestCrossReusesGramStates(t *testing.T) {
-	train := testData(t, 10, 6)
-	test := testData(t, 17, 6)[10:] // disjoint rows from the same distribution
-	q := cachedTestKernel(6)
-
-	if _, err := ComputeGram(q, train, Options{Procs: 3, Strategy: RoundRobin}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ComputeCross(q, test, train, Options{Procs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sims := res.TotalStatesSimulated(); sims != len(test) {
-		t.Fatalf("cross after gram simulated %d states, want only the %d test rows", sims, len(test))
-	}
-	if hits := res.TotalCacheHits(); hits < len(train) {
-		t.Fatalf("cross after gram hit the cache %d times, want ≥ %d", hits, len(train))
-	}
-
-	ref, err := testKernel(6).Cross(test, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgree(t, "cached-cross", ref, res.Gram)
-}
-
 // TestResultStatesRetained: ComputeGram hands back the simulated training
 // states under both strategies, indexed like the input rows.
 func TestResultStatesRetained(t *testing.T) {
@@ -118,9 +89,10 @@ func TestResultStatesRetained(t *testing.T) {
 	}
 }
 
-// TestComputeCrossStates: inference from retained handles matches the
-// simulate-everything path bit for bit, simulates only the test rows, and
-// communicates nothing.
+// TestComputeCrossStates: inference from retained handles simulates only the
+// test rows at every process count and communicates nothing. An empty test
+// set yields an empty kernel. (Agreement with the serial kernel is
+// TestComputeCrossAgreesWithSerial.)
 func TestComputeCrossStates(t *testing.T) {
 	train := testData(t, 8, 6)
 	test := testData(t, 13, 6)[8:]
@@ -130,50 +102,66 @@ func TestComputeCrossStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ComputeCross(q, test, train, Options{Procs: 3})
+	for _, k := range []int{1, 3, 6} {
+		res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: k})
+		if err != nil {
+			t.Fatalf("procs=%d: %v", k, err)
+		}
+		if sims := res.TotalStatesSimulated(); sims != len(test) {
+			t.Fatalf("procs=%d: simulated %d states, want %d", k, sims, len(test))
+		}
+		if res.TotalBytes() != 0 || res.TotalMessages() != 0 {
+			t.Fatalf("procs=%d: communicated %d bytes, %d messages", k, res.TotalBytes(), res.TotalMessages())
+		}
+	}
+
+	empty, err := ComputeCrossStates(q, nil, gramRes.States, Options{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgree(t, "cross-from-states", ref.Gram, res.Gram)
-	if sims := res.TotalStatesSimulated(); sims != len(test) {
-		t.Fatalf("cross-from-states simulated %d states, want %d", sims, len(test))
-	}
-	if res.TotalBytes() != 0 || res.TotalMessages() != 0 {
-		t.Fatalf("cross-from-states communicated: %d bytes, %d messages", res.TotalBytes(), res.TotalMessages())
-	}
-	wantPairs := len(test) * len(train)
-	pairs := 0
-	for _, ps := range res.Procs {
-		pairs += ps.InnerProducts
-	}
-	if pairs != wantPairs {
-		t.Fatalf("cross-from-states computed %d inner products, want %d", pairs, wantPairs)
+	if len(empty.Gram) != 0 {
+		t.Fatalf("empty test set produced %d rows", len(empty.Gram))
 	}
 }
 
+// TestComputeCrossStatesRejectsNil: a nil training handle, a nil kernel and
+// a negative process count are errors.
 func TestComputeCrossStatesRejectsNil(t *testing.T) {
 	test := testData(t, 2, 6)
-	if _, err := ComputeCrossStates(testKernel(6), test, make([]*mps.MPS, 3), Options{Procs: 2}); err == nil {
+	q := testKernel(6)
+	if _, err := ComputeCrossStates(q, test, make([]*mps.MPS, 3), Options{Procs: 2}); err == nil {
 		t.Fatal("nil training state accepted")
+	}
+	gramRes, err := ComputeGram(q, test, Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ComputeCrossStates(nil, test, gramRes.States, Options{Procs: 2}); err == nil {
+		t.Fatal("nil kernel must error")
+	}
+	if _, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: -1}); err == nil {
+		t.Fatal("negative procs must error")
 	}
 }
 
 // TestComputeCrossStatesRejectsWidthMismatch: handles from a different-width
-// ansatz must surface as an error (the simulate-everything path's
-// behaviour), never a panic in the overlap zipper.
+// ansatz, and a test row of the wrong width, must surface as errors, never
+// a panic in the overlap zipper.
 func TestComputeCrossStatesRejectsWidthMismatch(t *testing.T) {
 	train := testData(t, 4, 6)
-	gramRes, err := ComputeGram(testKernel(6), train, Options{Procs: 2, Strategy: RoundRobin})
+	q := testKernel(6)
+	gramRes, err := ComputeGram(q, train, Options{Procs: 2, Strategy: RoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	narrow := testKernel(5)
 	if _, err := ComputeCrossStates(narrow, testData(t, 2, 5), gramRes.States, Options{Procs: 2}); err == nil {
 		t.Fatal("6-qubit training states accepted by a 5-qubit ansatz")
+	}
+	bad := testData(t, 6, 6)
+	bad[3] = []float64{0.5} // wrong dimension for a 6-qubit ansatz
+	if _, err := ComputeCrossStates(q, bad, gramRes.States, Options{Procs: 3}); err == nil {
+		t.Fatal("malformed test row must error")
 	}
 }
 

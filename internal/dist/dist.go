@@ -2,7 +2,8 @@
 // paper's section II-D and Fig. 4: it computes quantum-kernel Gram matrices
 // by splitting the work across k simulated processes, each running on its
 // own goroutine with a private worker pool, and reproduces the two
-// distribution strategies whose trade-off the paper measures:
+// distribution strategies whose trade-off the paper measures for the
+// training Gram:
 //
 //   - RoundRobin: states are sharded across processes; each process
 //     simulates only its shard and the shards are then exchanged through
@@ -21,6 +22,12 @@
 // instrumentation (CommTime, byte counts) allowed to differ. Per-process
 // instrumentation separates simulation, inner-product and communication
 // wall-clock so the Fig. 8 runtime breakdown can be reproduced faithfully.
+//
+// Inference (ComputeCrossStates) takes the training states already
+// simulated, as the paper does when it stores the MPS: each process
+// simulates only its share of the test rows and computes their overlaps
+// against every training state, so no strategy applies and nothing crosses
+// the wire.
 package dist
 
 import (
@@ -75,8 +82,8 @@ func ParseStrategy(name string) (Strategy, error) {
 type Options struct {
 	// Procs is the number of distributed processes; 0 selects 1.
 	Procs int
-	// Strategy selects the distribution scheme for ComputeGram (inference
-	// always uses the round-robin exchange; see ComputeCross).
+	// Strategy selects the distribution scheme for ComputeGram. Inference
+	// (ComputeCrossStates) exchanges nothing, so it ignores the strategy.
 	Strategy Strategy
 	// Transport is the wire carrying shard messages; nil selects
 	// ChanTransport. The Gram matrix is transport-independent — only the
@@ -193,11 +200,11 @@ type ProcStats struct {
 	Crashed bool
 }
 
-// Result is a distributed Gram computation: the matrix itself, the total
+// Result is a distributed kernel computation: the matrix itself, the total
 // wall-clock, and per-process instrumentation.
 type Result struct {
 	// Gram is the kernel matrix: square symmetric for ComputeGram,
-	// rectangular test×train for ComputeCross.
+	// rectangular test×train for ComputeCrossStates.
 	Gram [][]float64
 	// Wall is the end-to-end elapsed time of the computation.
 	Wall time.Duration
@@ -206,15 +213,14 @@ type Result struct {
 	// States holds the simulated training states indexed like the input
 	// rows — the handles a model retains so inference never re-simulates
 	// the training set. Populated by ComputeGram (each process contributes
-	// its owned shard); nil for ComputeCross results.
+	// its owned shard); nil for ComputeCrossStates results.
 	States []*mps.MPS
 	// ObservedRowCosts is the measured per-row state-materialisation
 	// wall-clock, indexed like the input rows (ComputeGram) or the test
 	// rows (ComputeCrossStates) — the ground truth for calibrating
 	// EstimateRowCost online. Each entry is recorded by the rank that owns
 	// the row; a cache hit records the (tiny) lookup time rather than a
-	// simulation. Nil for ComputeCross, whose sharding mixes test and train
-	// materialisation in one timed phase.
+	// simulation.
 	ObservedRowCosts []time.Duration
 }
 
@@ -360,27 +366,6 @@ func ComputeGram(q *kernel.Quantum, X [][]float64, opts Options) (*Result, error
 	return &Result{Gram: gram, Wall: time.Since(start), Procs: stats, States: retain, ObservedRowCosts: rowCosts}, nil
 }
 
-// ComputeCross computes the rectangular inference kernel between test rows
-// and train rows across opts.Procs processes. Test rows and train states are
-// both sharded round-robin; train shards are exchanged over opts.Transport
-// so each process fills the complete rows of its test shard. Inference
-// always uses the round-robin exchange — the paper's strategy choice applies
-// only to the training Gram computation, so a NoMessaging training run will
-// still report communication volume here.
-func ComputeCross(q *kernel.Quantum, testX, trainX [][]float64, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := validate(q, opts.Procs); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	gram := rect(len(testX), len(trainX))
-	stats := newStats(opts.Procs)
-	if err := runCrossRoundRobin(q, testX, trainX, gram, stats, opts); err != nil {
-		return nil, err
-	}
-	return &Result{Gram: gram, Wall: time.Since(start), Procs: stats}, nil
-}
-
 // ComputeCrossStates computes the inference kernel against pre-simulated
 // training states — the handles a trained model retained from its
 // ComputeGram result. Only the test rows are simulated (consulting the
@@ -396,9 +381,9 @@ func ComputeCrossStates(q *kernel.Quantum, testX [][]float64, trainStates []*mps
 		if st == nil {
 			return nil, fmt.Errorf("dist: nil training state %d", i)
 		}
-		// The simulate-everything path surfaces a width mismatch as a
-		// graceful circuit-build error; retained handles must too, not a
-		// panic inside the overlap zipper.
+		// A test row of the wrong width surfaces as a graceful
+		// circuit-build error; a training handle of the wrong width must
+		// too, not a panic inside the overlap zipper.
 		if st.N != q.Ansatz.Qubits {
 			return nil, fmt.Errorf("dist: training state %d has %d qubits, ansatz has %d", i, st.N, q.Ansatz.Qubits)
 		}
@@ -463,7 +448,7 @@ func mirror(gram [][]float64) {
 }
 
 // simErrf formats a simulation failure; label names the shard ("test",
-// "train") or is empty for training-Gram shards.
+// "recovered") or is empty for a training-Gram shard.
 func simErrf(rank int, label string, index int, err error) error {
 	if label != "" {
 		return fmt.Errorf("dist: proc %d: %s state %d: %w", rank, label, index, err)

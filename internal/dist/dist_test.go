@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -226,6 +227,10 @@ func TestWorkAccounting(t *testing.T) {
 	}
 }
 
+// TestComputeCrossAgreesWithSerial: the inference kernel computed from the
+// training states a ComputeGram retained is bit-identical to the serial
+// kernel.Cross at every process count, with every test×train overlap
+// computed exactly once.
 func TestComputeCrossAgreesWithSerial(t *testing.T) {
 	X := testData(t, 13, 6)
 	testRows, trainRows := X[:4], X[4:]
@@ -234,12 +239,16 @@ func TestComputeCrossAgreesWithSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gramRes, err := ComputeGram(q, trainRows, Options{Procs: 3, Strategy: RoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []int{1, 3, 6} {
-		res, err := ComputeCross(q, testRows, trainRows, Options{Procs: k})
+		res, err := ComputeCrossStates(q, testRows, gramRes.States, Options{Procs: k})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", k, err)
 		}
-		checkAgree(t, "cross", ref, res.Gram)
+		checkIdentical(t, fmt.Sprintf("cross procs=%d", k), ref, res.Gram)
 		pairs := 0
 		for _, ps := range res.Procs {
 			pairs += ps.InnerProducts
@@ -262,16 +271,10 @@ func TestValidation(t *testing.T) {
 	if _, err := ComputeGram(q, X, Options{Procs: 2, Strategy: Strategy(42)}); err == nil {
 		t.Fatal("unknown strategy must error")
 	}
-	if _, err := ComputeCross(nil, X, X, Options{Procs: 2}); err == nil {
-		t.Fatal("nil kernel must error on cross")
-	}
-	if _, err := ComputeCross(q, X, X, Options{Procs: -1}); err == nil {
-		t.Fatal("negative procs must error on cross")
-	}
 }
 
 // TestSimulationErrorsPropagate: a malformed row (wrong feature count) must
-// surface as an error from every path without deadlocking the exchange.
+// surface as an error from both strategies without deadlocking the exchange.
 func TestSimulationErrorsPropagate(t *testing.T) {
 	X := testData(t, 6, 6)
 	bad := make([][]float64, len(X))
@@ -283,12 +286,6 @@ func TestSimulationErrorsPropagate(t *testing.T) {
 			t.Fatalf("%v: malformed row must error", strat)
 		}
 	}
-	if _, err := ComputeCross(q, bad, X, Options{Procs: 3}); err == nil {
-		t.Fatal("cross with malformed test row must error")
-	}
-	if _, err := ComputeCross(q, X, bad, Options{Procs: 3}); err == nil {
-		t.Fatal("cross with malformed train row must error")
-	}
 }
 
 func TestEmptyInput(t *testing.T) {
@@ -299,12 +296,5 @@ func TestEmptyInput(t *testing.T) {
 	}
 	if len(res.Gram) != 0 {
 		t.Fatalf("empty input produced %d rows", len(res.Gram))
-	}
-	cross, err := ComputeCross(q, nil, testData(t, 2, 6), Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cross.Gram) != 0 {
-		t.Fatalf("empty test set produced %d rows", len(cross.Gram))
 	}
 }

@@ -200,41 +200,6 @@ func TestChaosNoMessagingUntouched(t *testing.T) {
 	}
 }
 
-// TestChaosMetamorphicCross: the rectangular test×train kernel recovers to
-// bit-identity under the same fault plans.
-func TestChaosMetamorphicCross(t *testing.T) {
-	X := testData(t, 14, 6)
-	testRows, trainRows := X[:4], X[4:]
-	q := testKernel(6)
-	ref, err := q.Cross(testRows, trainRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []chaosCase{
-		{name: "drop-all", plan: FaultPlan{Seed: 5, DropProb: 1}, deadline: 150 * time.Millisecond, wantRecovered: true},
-		{name: "crash-one", plan: FaultPlan{Seed: 1, CrashRanks: []int{1}}, deadline: 2 * time.Second, wantRecovered: true},
-		{name: "dup-all", plan: FaultPlan{Seed: 7, DupProb: 1}, deadline: 2 * time.Second, wantDups: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ft := &FaultTransport{Inner: ChanTransport{}, Plan: tc.plan}
-			res, err := ComputeCross(q, testRows, trainRows, Options{
-				Procs: 3, Strategy: RoundRobin, Transport: ft,
-				Deadline: tc.deadline, Backoff: time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkIdentical(t, "cross/"+tc.name, ref, res.Gram)
-			if tc.wantRecovered && res.TotalRecoveredRows() == 0 {
-				t.Errorf("expected recovered rows, got none")
-			}
-			if tc.wantDups && res.TotalDupsDropped() == 0 {
-				t.Errorf("expected discarded duplicates, got none")
-			}
-		})
-	}
-}
-
 // TestChaosDeterministic: same plan, same schedule ⇒ identical injected
 // faults and identical recovery counters, run after run.
 func TestChaosDeterministic(t *testing.T) {

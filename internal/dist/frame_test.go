@@ -150,8 +150,8 @@ func (e corruptEndpoint) Send(to int, s Shard) (int64, error) {
 }
 
 // TestCorruptShardIndexIsTypedError: a received row index outside the
-// kernel fails the Gram and the cross kernel with a *ShardIndexError
-// instead of panicking a rank goroutine on an out-of-range write.
+// kernel fails the Gram with a *ShardIndexError instead of panicking a rank
+// goroutine on an out-of-range write.
 func TestCorruptShardIndexIsTypedError(t *testing.T) {
 	X := testData(t, 6, 4)
 	q := testKernel(4)
@@ -160,9 +160,6 @@ func TestCorruptShardIndexIsTypedError(t *testing.T) {
 		var ie *ShardIndexError
 		if _, err := ComputeGram(q, X, opts); !errors.As(err, &ie) || ie.Index != index {
 			t.Fatalf("gram with row %d: err = %v, want *ShardIndexError", index, err)
-		}
-		if _, err := ComputeCross(q, X[:2], X, opts); !errors.As(err, &ie) || ie.Index != index {
-			t.Fatalf("cross with row %d: err = %v, want *ShardIndexError", index, err)
 		}
 	}
 }

@@ -68,16 +68,9 @@ func (pl pool) simWorkspace(g int) *mps.SimWorkspace {
 	return pl.sim[g]
 }
 
-// run invokes f(i) for every i in [0,n), spreading the calls over the pool's
-// workers. It returns once all calls have completed.
-func (pl pool) run(n int, f func(i int)) {
-	pl.runSlot(n, func(_, i int) { f(i) })
-}
-
-// runWS is run with a private overlap workspace per worker goroutine, so
-// overlap batches reuse transfer-matrix buffers instead of allocating per
-// pair. Workspaces are created lazily-cheap (buffers grow on first use), so
-// run simply delegates here for non-overlap work.
+// runWS runs f(i) for every i in [0,n) with a private overlap workspace
+// per worker goroutine, so overlap batches reuse transfer-matrix buffers
+// instead of allocating per pair.
 func (pl pool) runWS(n int, f func(ws *mps.Workspace, i int)) {
 	pl.runSlot(n, func(slot, i int) { f(pl.workspace(slot), i) })
 }
@@ -116,16 +109,6 @@ func (pl pool) runSlot(n int, f func(slot, i int)) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// runErr is run for fallible tasks; it executes every task regardless of
-// failures and returns the first error by task index.
-func (pl pool) runErr(n int, f func(i int) error) error {
-	errs := make([]error, n)
-	pl.run(n, func(i int) {
-		errs[i] = f(i)
-	})
-	return firstError(errs)
 }
 
 // simulateOwned materialises the states for the owned global indices of X

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// The pluggable wire. The distribution strategies (ring.go, roundrobin.go,
-// cross.go) are written once against the Transport/Network/Endpoint
+// The pluggable wire. The round-robin Gram exchange (ring.go,
+// roundrobin.go) is written once against the Transport/Network/Endpoint
 // interfaces; which wire actually carries the shards is an Options choice:
 //
 //   - ChanTransport — in-process buffered channels, zero cost. The default,
@@ -26,8 +26,8 @@ import (
 // the instrumentation (CommTime, byte counts) allowed to differ.
 
 // Transport builds the wire connecting the k processes of one distributed
-// computation. Implementations must be reusable: each Compute* call asks for
-// a fresh Network.
+// computation. Implementations must be reusable: each round-robin
+// ComputeGram call asks for a fresh Network.
 type Transport interface {
 	// Name is the flag-style name (ParseTransport's vocabulary).
 	Name() string

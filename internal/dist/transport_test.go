@@ -168,31 +168,6 @@ func TestTransportsProduceBitIdenticalGram(t *testing.T) {
 	}
 }
 
-// TestTransportsProduceBitIdenticalCross extends the relation to the
-// inference kernel's ring exchange.
-func TestTransportsProduceBitIdenticalCross(t *testing.T) {
-	X := testData(t, 12, 6)
-	testRows, trainRows := X[:5], X[5:]
-	q := testKernel(6)
-	ref, err := q.Cross(testRows, trainRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range testTransports() {
-		res, err := ComputeCross(q, testRows, trainRows, Options{Procs: 3, Transport: tr})
-		if err != nil {
-			t.Fatalf("%s: %v", TransportName(tr), err)
-		}
-		for i := range ref {
-			for j := range ref[i] {
-				if res.Gram[i][j] != ref[i][j] {
-					t.Fatalf("%s: cross entry (%d,%d) = %v, serial %v", TransportName(tr), i, j, res.Gram[i][j], ref[i][j])
-				}
-			}
-		}
-	}
-}
-
 // TestTCPTransportByteAccounting: the accounted wire volume of a loopback
 // TCP run matches the chan wire's accounting exactly — WireBytes is the
 // frame layout both transports report and tcp literally writes — and the
@@ -285,8 +260,7 @@ func TestSimTransportCostModel(t *testing.T) {
 // TestObservedRowCosts: ComputeGram and ComputeCrossStates must report a
 // positive measured materialisation cost for every row under both
 // strategies — the ground truth a later calibration of EstimateRowCost
-// feeds on. ComputeCross mixes test and train materialisation in one phase
-// and deliberately reports nothing.
+// feeds on.
 func TestObservedRowCosts(t *testing.T) {
 	X := testData(t, 11, 6)
 	q := testKernel(6)
@@ -326,12 +300,5 @@ func TestObservedRowCosts(t *testing.T) {
 		if c <= 0 {
 			t.Fatalf("cross-states test row %d observed cost %v, want > 0", i, c)
 		}
-	}
-	plain, err := ComputeCross(q, X[8:], X[:8], Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.ObservedRowCosts != nil {
-		t.Fatalf("ComputeCross should not report row costs, got %d", len(plain.ObservedRowCosts))
 	}
 }
