@@ -17,7 +17,7 @@ SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|B
 # cannot make the gate compare a run against itself.
 BASELINE := $(shell git ls-files 'BENCH_*.json' | sort | tail -1)
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-check serve-smoke load-smoke chaos-smoke obs-smoke calib-smoke ci clean
+.PHONY: all build vet fmt-check test race loc bench-smoke bench-check serve-smoke load-smoke chaos-smoke obs-smoke calib-smoke ci clean
 
 all: build
 
@@ -42,6 +42,17 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# loc prints the non-test Go lines of each package directory and their total,
+# outside bench/ (its own module) and hidden directories: the size figure the
+# ROADMAP tracks. Informational only; nothing gates on it.
+LOC_FILES := find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go'
+
+loc:
+	@for d in $$($(LOC_FILES) -printf '%h\n' | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$($(LOC_FILES) -exec cat {} + | wc -l)
 
 # Everything CI enforces, runnable locally in one shot.
 ci: build vet fmt-check test race

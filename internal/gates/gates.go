@@ -36,11 +36,6 @@ func Z() *linalg.Matrix {
 	return linalg.FromSlice(2, 2, []complex128{1, 0, 0, -1})
 }
 
-// I2 returns the single-qubit identity.
-func I2() *linalg.Matrix {
-	return linalg.Identity(2)
-}
-
 // RZ returns exp(−iθZ/2) = diag(e^{−iθ/2}, e^{iθ/2}).
 //
 // The ansatz applies e^{−iγ·x_i·Z} on qubit i for the HZ Hamiltonian of

@@ -12,7 +12,7 @@ import (
 
 func TestAllGatesUnitary(t *testing.T) {
 	cases := map[string]*linalg.Matrix{
-		"H": H(), "X": X(), "Y": Y(), "Z": Z(), "I2": I2(),
+		"H": H(), "X": X(), "Y": Y(), "Z": Z(),
 		"RZ(0.7)": RZ(0.7), "RX(1.3)": RX(1.3), "RXX(0.9)": RXX(0.9),
 		"SWAP": SWAP(), "CX": CX(),
 	}

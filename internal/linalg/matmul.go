@@ -246,20 +246,3 @@ func adjARowsBlock(dst, a, b *Matrix, iLo, iHi int) {
 		}
 	}
 }
-
-// MatVec returns a·x for a column vector x (len == a.Cols).
-func MatVec(a *Matrix, x []complex128) []complex128 {
-	if len(x) != a.Cols {
-		panic(fmt.Sprintf("linalg: MatVec length mismatch %d×%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	y := make([]complex128, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s complex128
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}

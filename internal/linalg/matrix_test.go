@@ -212,23 +212,6 @@ func TestStringSmallAndLarge(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice(2, 2, []complex128{1, 2, 3, 4})
-	y := MatVec(a, []complex128{1, 1i})
-	if y[0] != 1+2i || y[1] != 3+4i {
-		t.Fatalf("MatVec wrong: %v", y)
-	}
-}
-
-func TestMatVecLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatVec(Identity(2), make([]complex128, 3))
-}
-
 func BenchmarkConjTranspose128(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := Random(rng, 128, 128)

@@ -52,15 +52,15 @@ type Config struct {
 	// because that makes the truncation optimal and the error identity
 	// (equation (8)) exact; skipping it is provided as an ABLATION ONLY —
 	// truncations become suboptimal and the recorded TruncationError is no
-	// longer a guaranteed bound. Observable queries (RDMs, Schmidt values)
-	// transparently re-canonicalise a clone first, so they remain correct.
+	// longer a guaranteed bound.
 	SkipCanonicalization bool
 	// ReferenceKernels routes gate application through the original generic
 	// contraction chain (ContractWith → Transpose → Matricize), the plain
 	// one-sided Jacobi SVD and allocating canonicalisation, and disables
 	// single-qubit gate fusion in ApplyCircuit. Provided for metamorphic
 	// testing and ablation: the fused zero-realloc engine must agree with
-	// this path to tight tolerance on every observable.
+	// this path to tight tolerance on state, bond dimensions and truncation
+	// error.
 	ReferenceKernels bool
 }
 
@@ -108,10 +108,6 @@ type MPS struct {
 	// gate application or attached by the simulating worker
 	// (AttachWorkspace) so warmed buffers carry across states.
 	ws *SimWorkspace
-	// borrowed marks a shallow read-clone whose site tensors are shared
-	// with the original: canonicalisation on it must build fresh tensors
-	// (the allocating path) instead of mutating site buffers in place.
-	borrowed bool
 }
 
 // NewZeroState returns |0…0⟩ on n qubits: every site is the (1,2,1) tensor
@@ -147,24 +143,6 @@ func (m *MPS) Clone() *MPS {
 		c.Sites[i] = s.Clone()
 	}
 	c.Ledger = append([]MemSample(nil), m.Ledger...)
-	return c
-}
-
-// readClone returns a shallow clone sharing site tensors with m, for
-// observable queries that only need to move the orthogonality centre on a
-// scratch copy. Unlike Clone it copies no tensor payloads: the clone is
-// marked borrowed, which routes canonicalisation through the allocating
-// path (fresh tensors per step, shared buffers never mutated), so the
-// original — possibly resident in a shared state cache — is untouched.
-// Gates must not be applied to a read-clone.
-func (m *MPS) readClone() *MPS {
-	c := &MPS{
-		N: m.N, cfg: m.cfg, center: m.center, canonical: m.canonical,
-		TruncationError: m.TruncationError,
-		gatesApplied:    m.gatesApplied,
-		borrowed:        true,
-	}
-	c.Sites = append([]*tensor.Tensor(nil), m.Sites...)
 	return c
 }
 
@@ -323,10 +301,9 @@ func (m *MPS) flushPending(ws *SimWorkspace) {
 }
 
 // engineActive reports whether the fused zero-realloc engine handles this
-// state's gates: the reference path is pinned by config, and borrowed
-// read-clones must never mutate shared site buffers in place.
+// state's gates; ReferenceKernels pins the reference path.
 func (m *MPS) engineActive() bool {
-	return !m.cfg.ReferenceKernels && !m.borrowed
+	return !m.cfg.ReferenceKernels
 }
 
 // apply1 contracts a single-qubit gate with the site tensor (Fig. 1a). A
@@ -437,7 +414,6 @@ func (m *MPS) truncationCut(s []float64) (int, float64) {
 // right) and LQ (moving left) — the canonicalisation step the paper applies
 // before each SVD truncation. The engine path holds the Householder factors
 // in the workspace and rewrites site buffers in place; the reference path
-// (also used by borrowed read-clones, which must not mutate shared tensors)
 // builds fresh tensors per step.
 func (m *MPS) moveCenterTo(q int) {
 	if m.engineActive() {
@@ -462,19 +438,6 @@ func (m *MPS) moveCenterTo(q int) {
 		m.Sites[i-1] = tensor.ContractWith(prev, lt, []int{2}, []int{0}, m.cfg.Backend.MatMul)
 		m.center--
 	}
-}
-
-// ensureCanonical restores the mixed-canonical invariant from scratch when a
-// SkipCanonicalization run invalidated it: a full left-orthogonalising sweep
-// (QR site by site, absorbing R rightward) is valid from ANY starting state
-// and leaves the centre at the last site.
-func (m *MPS) ensureCanonical() {
-	if m.canonical {
-		return
-	}
-	m.center = 0
-	m.canonical = true
-	m.moveCenterTo(m.N - 1)
 }
 
 // swapQubitOrder reorders a 4×4 two-qubit matrix from basis |ab⟩ to |ba⟩
@@ -536,9 +499,6 @@ func (m *MPS) ToStateVector() []complex128 {
 // GatesApplied returns how many gates have been applied so far.
 func (m *MPS) GatesApplied() int { return m.gatesApplied }
 
-// Center returns the current orthogonality centre (exported for tests).
-func (m *MPS) Center() int { return m.center }
-
 // CheckCanonical verifies the mixed-canonical invariant within tol: sites
 // left of the centre are left-canonical isometries, sites right of it are
 // right-canonical. Returns an error describing the first violation.
@@ -596,8 +556,3 @@ func Overlap(a, b *MPS) float64 {
 	v := cmplx.Abs(Inner(a, b))
 	return v * v
 }
-
-// MarkNonCanonical invalidates the mixed-canonical invariant; callers that
-// rebuild site tensors directly (e.g. MPO application in internal/mpo) must
-// call this so observable queries re-canonicalise first.
-func (m *MPS) MarkNonCanonical() { m.canonical = false }

@@ -64,12 +64,6 @@ func ContractWith(a, b *Tensor, axesA, axesB []int, mul MatMulFunc) *Tensor {
 	return FromData(mc.Data, outShape...)
 }
 
-// Outer returns the outer (tensor) product of a and b: a tensor whose bonds
-// are a's bonds followed by b's bonds.
-func Outer(a, b *Tensor) *Tensor {
-	return Contract(a, b, nil, nil)
-}
-
 // InnerFull contracts every bond of a against the matching bond of b
 // (conjugating a), returning ⟨a, b⟩ = Σ conj(a_i)·b_i. Shapes must match.
 func InnerFull(a, b *Tensor) complex128 {

@@ -79,15 +79,21 @@ func TestContractToScalar(t *testing.T) {
 	}
 }
 
+// TestOuterProduct: contracting no bonds is the outer (tensor) product, the
+// result's bonds being a's followed by b's.
 func TestOuterProduct(t *testing.T) {
 	a := FromData([]complex128{1, 2}, 2)
 	b := FromData([]complex128{10, 20, 30}, 3)
-	c := Outer(a, b)
-	if c.Shape[0] != 2 || c.Shape[1] != 3 {
+	c := Contract(a, b, nil, nil)
+	if c.Rank() != 2 || c.Shape[0] != 2 || c.Shape[1] != 3 {
 		t.Fatalf("outer shape %v", c.Shape)
 	}
-	if c.At(1, 2) != 60 {
-		t.Fatalf("outer entry wrong: %v", c.At(1, 2))
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ {
+			if got, want := c.At(i, j), a.Data[i]*b.Data[j]; got != want {
+				t.Fatalf("outer entry (%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
 	}
 }
 

@@ -54,18 +54,6 @@ func FromData(data []complex128, shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: data}
 }
 
-// FromMatrix converts a linalg.Matrix into a rank-2 tensor sharing storage.
-func FromMatrix(m *linalg.Matrix) *Tensor {
-	return FromData(m.Data, m.Rows, m.Cols)
-}
-
-// Scalar returns a rank-0 tensor holding v.
-func Scalar(v complex128) *Tensor {
-	t := New()
-	t.Data[0] = v
-	return t
-}
-
 // Rank returns the number of bonds (axes).
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -141,22 +129,6 @@ func (t *Tensor) Reuse3(a, b, c int) *Tensor {
 		t.Shape = []int{a, b, c}
 	}
 	return t
-}
-
-// Reshape returns a tensor with the new shape sharing storage with t.
-// The shape volume must match. This is the paper's equation (7): an arbitrary
-// bijection between old and new indices — row-major order here.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape volume %d into %v", len(t.Data), shape))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: t.Data}
 }
 
 // Transpose returns a new tensor with axes permuted: the i-th axis of the

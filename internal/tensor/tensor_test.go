@@ -24,10 +24,16 @@ func TestNewAndSize(t *testing.T) {
 	}
 }
 
+// TestScalar: a tensor with no bonds is a scalar holding one entry — the
+// shape a full contraction returns.
 func TestScalar(t *testing.T) {
-	s := Scalar(2 + 3i)
-	if s.Rank() != 0 || s.Size() != 1 || s.Data[0] != 2+3i {
-		t.Fatalf("scalar wrong: %v", s)
+	s := New()
+	if s.Rank() != 0 || s.Size() != 1 || len(s.Data) != 1 {
+		t.Fatalf("rank-0 tensor wrong: %v", s)
+	}
+	w := FromData([]complex128{2 + 3i})
+	if w.Rank() != 0 || w.Size() != 1 || w.Data[0] != 2+3i {
+		t.Fatalf("rank-0 wrap wrong: %v", w)
 	}
 }
 
@@ -62,12 +68,15 @@ func TestAtRankMismatchPanics(t *testing.T) {
 	_ = tt.At(0)
 }
 
+// TestReshapeSharesStorage: the paper's equation (7) reshape is a row-major
+// reinterpretation of the same storage; the simulator performs it by wrapping
+// a buffer with FromData under the new shape, which must alias, not copy.
 func TestReshapeSharesStorage(t *testing.T) {
 	tt := New(2, 6)
-	r := tt.Reshape(3, 4)
+	r := FromData(tt.Data, 3, 4)
 	r.Set(5, 2, 3)
-	if tt.Data[11] != 5 {
-		t.Fatal("Reshape should alias storage")
+	if tt.Data[11] != 5 || tt.At(1, 5) != 5 {
+		t.Fatal("reshape should alias storage")
 	}
 }
 
@@ -77,7 +86,7 @@ func TestReshapeVolumeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2, 3).Reshape(4, 2)
+	FromData(New(2, 3).Data, 4, 2)
 }
 
 func TestTransposeKnown(t *testing.T) {
@@ -203,10 +212,16 @@ func TestMatricizeDuplicateAxisPanics(t *testing.T) {
 	New(2, 2).Matricize(0, 0)
 }
 
+// TestFromMatrixRoundTrip: a row-major matrix wrapped as a rank-2 tensor (as
+// the reference path does with gate matrices) keeps its layout and storage.
 func TestFromMatrixRoundTrip(t *testing.T) {
 	m := linalg.FromSlice(2, 2, []complex128{1, 2, 3, 4})
-	tt := FromMatrix(m)
-	if tt.At(1, 0) != 3 {
-		t.Fatal("FromMatrix layout mismatch")
+	tt := FromData(m.Data, m.Rows, m.Cols)
+	if tt.At(1, 0) != 3 || tt.At(0, 1) != 2 {
+		t.Fatal("matrix-to-tensor layout mismatch")
+	}
+	tt.Set(9, 1, 1)
+	if m.At(1, 1) != 9 {
+		t.Fatal("matrix-to-tensor wrap should alias storage")
 	}
 }
