@@ -17,7 +17,7 @@ SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|B
 # cannot make the gate compare a run against itself.
 BASELINE := $(shell git ls-files 'BENCH_*.json' | sort | tail -1)
 
-.PHONY: all build vet fmt-check test race loc bench-smoke bench-check serve-smoke load-smoke chaos-smoke obs-smoke calib-smoke ci clean
+.PHONY: all build vet fmt-check test race loc bench-smoke bench-check serve-smoke load-smoke obs-smoke calib-smoke ci clean
 
 all: build
 
@@ -89,13 +89,6 @@ serve-smoke:
 # Tunables: LOAD_CLIENTS, LOAD_DURATION, LOAD_P99_BUDGET_MS (env).
 load-smoke:
 	sh scripts/load_smoke.sh
-
-# chaos-smoke is the end-to-end fault-tolerance check: train over the
-# chaos-wrapped loopback-TCP wire with a mid-run rank crash plus 30% message
-# drops and assert the saved model is byte-identical to a clean run's, with a
-# nonzero locally-recovered row count proving the faults actually fired.
-chaos-smoke:
-	sh scripts/chaos_smoke.sh
 
 # calib-smoke is the end-to-end calibrated-prediction check: train with
 # conformal calibration at α=0.1, assert the narrated held-out coverage lands

@@ -23,13 +23,9 @@
 // kernel matrices are identical on every transport; only the communication
 // accounting changes.
 //
-// Every distributed exchange is bounded by -dist-deadline and shard sends
-// retry transient failures up to -dist-retries times with -dist-backoff
-// exponential backoff. The -fault-* flags wrap the selected transport in a
-// deterministic chaos layer (seeded message drops, duplicates, delays,
-// transient send failures and whole-rank crashes); surviving ranks recover
-// lost shards by local recomputation, so the kernel matrices — and the
-// trained model — stay bit-identical to a fault-free run.
+// Every shard receive in a distributed exchange is bounded by a deadline
+// (dist.DefaultDeadline). A shard that never arrives, or a peer whose
+// connection breaks, fails the run with a typed error naming the rank.
 //
 // With -data, samples are loaded from CSV (label column selectable; the
 // Kaggle Elliptic export works directly) instead of the synthetic
@@ -119,22 +115,6 @@ func fail(err error) int {
 	return 1
 }
 
-// reportRecovery narrates the fault-tolerance layer's work after a
-// distributed computation: send retries, expired receive deadlines, rows
-// recomputed locally, and — when the transport is a chaos wrapper — the
-// faults it actually injected. Silent when nothing happened, so clean runs
-// keep their output.
-func reportRecovery(res *dist.Result, transport dist.Transport) {
-	if r, t, rec := res.TotalRetries(), res.TotalTimeouts(), res.TotalRecoveredRows(); r+t+rec > 0 {
-		fmt.Printf("fault recovery: %d send retries, %d recv timeouts, %d rows recovered locally\n", r, t, rec)
-	}
-	if ft, ok := transport.(*dist.FaultTransport); ok {
-		s := ft.Stats()
-		fmt.Printf("fault injection: %d dropped, %d duplicated, %d delayed, %d send failures, %d crashed-rank sends\n",
-			s.Dropped, s.Duplicated, s.Delayed, s.SendFailures, s.CrashedSends)
-	}
-}
-
 // runLegacy is the original one-shot pipeline: train, evaluate, report.
 func runLegacy(args []string) int {
 	fs := flag.NewFlagSet("qkernel", flag.ExitOnError)
@@ -147,8 +127,6 @@ func runLegacy(args []string) int {
 	strategyName := fs.String("strategy", "round-robin", "round-robin | no-messaging")
 	var wf dist.WireFlags
 	wf.Register(fs)
-	var ff dist.FaultFlags
-	ff.Register(fs)
 	baseline := fs.Bool("baseline", false, "also train the Gaussian-kernel baseline")
 	cacheMB := fs.Int("cache-mb", 256, "χ-aware simulated-state cache budget in MiB (0 disables)")
 	savePath := fs.String("save", "", "write the trained SVM model as JSON")
@@ -171,10 +149,6 @@ func runLegacy(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	transport, err = ff.Wrap(transport)
-	if err != nil {
-		return fail(err)
-	}
 	train, test, err := df.split()
 	if err != nil {
 		return fail(err)
@@ -189,7 +163,7 @@ func runLegacy(args []string) int {
 			fmt.Println("note: the state cache dedupes no-messaging's redundant simulations; pass -cache-mb 0 to measure the pure compute-for-communication trade-off")
 		}
 	}
-	distOpts := ff.Apply(dist.Options{Procs: *procs, Strategy: strategy, Transport: transport})
+	distOpts := dist.Options{Procs: *procs, Strategy: strategy, Transport: transport}
 	t0 := time.Now()
 	gramRes, err := dist.ComputeGram(q, train.X, distOpts)
 	if err != nil {
@@ -200,7 +174,6 @@ func runLegacy(args []string) int {
 		strategy, dist.TransportName(transport), len(gramRes.Procs), gramRes.Wall.Round(time.Millisecond),
 		sim.Round(time.Millisecond), inner.Round(time.Millisecond), comm.Round(time.Millisecond),
 		float64(gramRes.TotalBytes())/(1<<20))
-	reportRecovery(gramRes, transport)
 
 	// The retained training states make the inference kernel
 	// communication-free: only the test rows are simulated.

@@ -30,8 +30,6 @@ func runTrain(args []string) int {
 	strategyName := fs.String("strategy", "round-robin", "round-robin | no-messaging")
 	var wf dist.WireFlags
 	wf.Register(fs)
-	var ff dist.FaultFlags
-	ff.Register(fs)
 	cacheMB := fs.Int("cache-mb", 256, "χ-aware simulated-state cache budget in MiB (0 disables)")
 	cFlag := fs.Float64("c", 0, "SVM box constraint (0 sweeps the paper's grid)")
 	calibFrac := fs.Float64("calib-frac", 0, "fraction of training rows held out for conformal calibration (0 disables, max 0.5)")
@@ -54,10 +52,6 @@ func runTrain(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	transport, err = ff.Wrap(transport)
-	if err != nil {
-		return fail(err)
-	}
 	train, test, err := df.split()
 	if err != nil {
 		return fail(err)
@@ -71,7 +65,6 @@ func runTrain(args []string) int {
 		Features: df.features, Layers: *layers, Distance: *distance, Gamma: *gamma,
 		C: *cFlag, Procs: *procs, Strategy: strategy, Transport: transport, CacheBytes: cacheBytes,
 		CalibFrac: *calibFrac, Alpha: *alpha,
-		DistDeadline: ff.Deadline, DistRetries: ff.Retries, DistBackoff: ff.Backoff,
 	})
 	if err != nil {
 		return fail(err)
@@ -101,10 +94,6 @@ func runTrain(args []string) int {
 		fmt.Printf("kept all %d proper-training rows (calibrated models are not pruned)\n", len(model.TrainX))
 	} else {
 		fmt.Printf("kept %d of %d training rows (α ≠ 0)\n", len(model.TrainX), train.Len())
-	}
-	if report.Retries+report.Timeouts+report.RecoveredRows > 0 {
-		fmt.Printf("fault recovery: %d send retries, %d recv timeouts, %d rows recovered locally\n",
-			report.Retries, report.Timeouts, report.RecoveredRows)
 	}
 	if rc := report.RowCosts; rc.Count > 0 {
 		fmt.Printf("row costs: %d rows simulated, min %v / mean %v / max %v, total %v\n",

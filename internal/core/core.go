@@ -62,18 +62,6 @@ type Options struct {
 	// in-process channels). The kernel matrices are transport-independent;
 	// only the communication instrumentation changes.
 	Transport dist.Transport
-	// DistDeadline bounds each shard receive during distributed exchanges;
-	// a shard that misses the deadline is recovered locally via the
-	// no-messaging path (0 = dist.DefaultDeadline, negative disables the
-	// deadline and waits forever).
-	DistDeadline time.Duration
-	// DistRetries bounds the retry attempts for a shard send that fails
-	// with a transient wire error (0 = dist.DefaultMaxRetries, negative
-	// disables retrying).
-	DistRetries int
-	// DistBackoff is the base exponential backoff between send retries
-	// (0 = dist.DefaultBackoff).
-	DistBackoff time.Duration
 	// UseParallelBackend switches the MPS simulator to the
 	// accelerator-role backend (worthwhile only at large bond dimension —
 	// see the Fig. 5 crossover).
@@ -204,13 +192,6 @@ type CommStats struct {
 	Bytes    int64 `json:"bytes"`
 	// CommWall is the summed per-process communication wall-clock.
 	CommWall time.Duration `json:"comm_wall"`
-	// Retries, Timeouts and RecoveredRows total the fault-tolerance layer's
-	// activity: shard-send retries after transient wire failures, receive
-	// deadlines that expired, and kernel rows recomputed locally because a
-	// peer's shard never arrived. All zero on a healthy wire.
-	Retries       int64 `json:"retries"`
-	Timeouts      int64 `json:"timeouts"`
-	RecoveredRows int64 `json:"recovered_rows"`
 }
 
 // New validates the options and builds a framework.
@@ -257,13 +238,10 @@ func New(opts Options) (*Framework, error) {
 // parented under sp for tracing (nil = untraced).
 func (f *Framework) distOptions(sp *obs.Span) dist.Options {
 	return dist.Options{
-		Procs:      f.opts.Procs,
-		Strategy:   f.opts.Strategy,
-		Transport:  f.opts.Transport,
-		Deadline:   f.opts.DistDeadline,
-		MaxRetries: f.opts.DistRetries,
-		Backoff:    f.opts.DistBackoff,
-		Span:       sp,
+		Procs:     f.opts.Procs,
+		Strategy:  f.opts.Strategy,
+		Transport: f.opts.Transport,
+		Span:      sp,
 	}
 }
 
@@ -276,9 +254,6 @@ func (f *Framework) recordComm(res *dist.Result) {
 	f.comm.Messages += int64(res.TotalMessages())
 	f.comm.Bytes += res.TotalBytes()
 	f.comm.CommWall += res.TotalCommTime()
-	f.comm.Retries += int64(res.TotalRetries())
-	f.comm.Timeouts += int64(res.TotalTimeouts())
-	f.comm.RecoveredRows += int64(res.TotalRecoveredRows())
 	f.rowCosts.merge(SummarizeRowCosts(res.ObservedRowCosts))
 }
 
@@ -395,13 +370,6 @@ type FitReport struct {
 	CacheHits    int
 	CacheMisses  int
 	CacheHitRate float64
-	// Retries / Timeouts / RecoveredRows surface the fault-tolerance layer's
-	// work during this Fit: shard-send retries, expired receive deadlines,
-	// and Gram rows recomputed locally because a peer's shard never arrived.
-	// All zero on a healthy run.
-	Retries       int
-	Timeouts      int
-	RecoveredRows int
 	// RowCosts summarises the measured per-row state-materialisation
 	// wall-clock of this Fit's Gram computation (the EstimateRowCost
 	// calibration ground truth).
@@ -458,9 +426,6 @@ func (f *Framework) FitCtx(ctx context.Context, X [][]float64, y []int) (*Model,
 	report.SimWall, report.InnerWall, report.CommWall = res.MaxPhaseTimes()
 	report.CacheHits = res.TotalCacheHits()
 	report.CacheMisses = res.TotalStatesSimulated()
-	report.Retries = res.TotalRetries()
-	report.Timeouts = res.TotalTimeouts()
-	report.RecoveredRows = res.TotalRecoveredRows()
 	report.RowCosts = SummarizeRowCosts(res.ObservedRowCosts)
 	if total := report.CacheHits + report.CacheMisses; total > 0 && f.q.Cache != nil {
 		report.CacheHitRate = float64(report.CacheHits) / float64(total)

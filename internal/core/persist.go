@@ -161,11 +161,8 @@ func (m *Model) Encode(w io.Writer) error {
 	mf := modelFile{
 		Features: m.opts.Features, Layers: m.opts.Layers, Distance: m.opts.Distance,
 		Gamma: m.opts.Gamma, C: m.opts.C, Procs: m.opts.Procs,
-		Strategy: m.opts.Strategy.String(),
-		// A chaos-wrapped wire persists as its underlying transport: fault
-		// injection is a per-run experiment, not part of the model, and
-		// "fault+tcp" would not round-trip through ParseTransport on load.
-		Transport:          dist.TransportName(dist.BaseTransport(m.opts.Transport)),
+		Strategy:           m.opts.Strategy.String(),
+		Transport:          dist.TransportName(m.opts.Transport),
 		UseParallelBackend: m.opts.UseParallelBackend,
 		CacheBytes:         m.opts.CacheBytes,
 		CalibFrac:          m.opts.CalibFrac,

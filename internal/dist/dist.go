@@ -90,37 +90,24 @@ type Options struct {
 	// communication instrumentation changes.
 	Transport Transport
 	// Deadline bounds each shard receive during an exchange: a shard that
-	// has not arrived within Deadline is treated as lost and its rows are
-	// recovered locally (see recoverGram), so no computation can hang
-	// unboundedly on a slow or dead peer. 0 selects DefaultDeadline;
-	// negative disables the deadline (wait forever, the pre-fault-tolerance
-	// behaviour).
+	// has not arrived within Deadline fails the computation with an error
+	// that wraps ErrRecvTimeout and names the missing ranks, so no
+	// computation can hang on a slow or dead peer. 0 selects
+	// DefaultDeadline; negative disables the deadline (wait forever).
 	Deadline time.Duration
-	// MaxRetries bounds the additional attempts for a shard send that fails
-	// with a transient error. 0 selects DefaultMaxRetries; negative
-	// disables retrying.
-	MaxRetries int
-	// Backoff is the base of the exponential backoff + deterministic jitter
-	// between send retries (retryBackoff). 0 selects DefaultBackoff.
-	Backoff time.Duration
 	// Span, when non-nil, is the parent under which the computation records
 	// its trace: one child span per rank (tracked rank+1 for side-by-side
-	// timelines), simulate/exchange/recover phase spans inside each, per-row
+	// timelines), simulate/exchange phase spans inside each, per-row
 	// materialisation spans carrying the row index, cache outcome and χ, and
-	// point events for every retry, timeout, duplicate drop, dead-rank
-	// envelope and recovered row. Nil (the default) records nothing and costs
-	// one branch per instrumentation site.
+	// a shard_recv event per received shard. Nil (the default) records
+	// nothing and costs one branch per instrumentation site.
 	Span *obs.Span
 }
 
-// Fault-tolerance defaults: generous enough that a healthy slow run never
-// trips them, tight enough that a dead rank is detected long before a user
+// DefaultDeadline is generous enough that a healthy slow run never trips
+// it, and tight enough that a dead rank is detected long before a user
 // gives up on the process.
-const (
-	DefaultDeadline   = 30 * time.Second
-	DefaultMaxRetries = 2
-	DefaultBackoff    = 2 * time.Millisecond
-)
+const DefaultDeadline = 30 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.Procs == 0 {
@@ -134,15 +121,6 @@ func (o Options) withDefaults() Options {
 		o.Deadline = DefaultDeadline
 	case o.Deadline < 0:
 		o.Deadline = 0 // wait forever
-	}
-	switch {
-	case o.MaxRetries == 0:
-		o.MaxRetries = DefaultMaxRetries
-	case o.MaxRetries < 0:
-		o.MaxRetries = 0
-	}
-	if o.Backoff == 0 {
-		o.Backoff = DefaultBackoff
 	}
 	return o
 }
@@ -177,27 +155,6 @@ type ProcStats struct {
 	// deserialising shards (plus waiting on in-flight messages — under
 	// SimTransport this includes the modelled wire time).
 	CommTime time.Duration
-	// Retries counts shard-send attempts repeated after a transient wire
-	// failure (bounded by Options.MaxRetries per message).
-	Retries int
-	// Timeouts counts receive deadlines that expired while this process was
-	// still owed shards (Options.Deadline); each expiry moves the process on
-	// to local recovery of whatever was still missing.
-	Timeouts int
-	// RecoveredRows counts rows this process re-materialised locally because
-	// a peer's shard never arrived — the no-messaging fallback that keeps
-	// the Gram bit-identical despite lost messages or dead ranks.
-	RecoveredRows int
-	// DupsDropped counts duplicate shard deliveries discarded (the wire
-	// delivered the same origin's shard more than once).
-	DupsDropped int
-	// SendFailures counts sends abandoned after the retry budget ran out;
-	// the affected peers detect the missing shard and recover locally.
-	SendFailures int
-	// Crashed reports that this rank was killed mid-exchange (an injected
-	// whole-rank crash); it published no results and its share of the
-	// schedule was taken over by the survivors.
-	Crashed bool
 }
 
 // Result is a distributed kernel computation: the matrix itself, the total
@@ -290,44 +247,15 @@ func (r *Result) TotalStatesSimulated() int {
 	return s
 }
 
-// TotalRetries sums the shard-send retries over all processes.
-func (r *Result) TotalRetries() int {
-	n := 0
-	for _, p := range r.Procs {
-		n += p.Retries
-	}
-	return n
-}
+// TotalRetries is always 0: shard sends are not retried. It stays only
+// because the benchmark's dist.retries metric reads it, and goes with that
+// metric.
+func (r *Result) TotalRetries() int { return 0 }
 
-// TotalTimeouts sums the expired receive deadlines over all processes.
-func (r *Result) TotalTimeouts() int {
-	n := 0
-	for _, p := range r.Procs {
-		n += p.Timeouts
-	}
-	return n
-}
-
-// TotalRecoveredRows sums the locally recovered rows over all processes —
-// zero on a healthy run, nonzero exactly when shards were lost or ranks
-// died.
-func (r *Result) TotalRecoveredRows() int {
-	n := 0
-	for _, p := range r.Procs {
-		n += p.RecoveredRows
-	}
-	return n
-}
-
-// TotalDupsDropped sums the discarded duplicate deliveries over all
-// processes.
-func (r *Result) TotalDupsDropped() int {
-	n := 0
-	for _, p := range r.Procs {
-		n += p.DupsDropped
-	}
-	return n
-}
+// TotalRecoveredRows is always 0: a lost shard fails the computation instead
+// of being recomputed locally. It stays only because the benchmark's
+// dist.recovered_rows metric reads it, and goes with that metric.
+func (r *Result) TotalRecoveredRows() int { return 0 }
 
 // ComputeGram computes the symmetric training Gram matrix K_ij = |⟨ψ_i,ψ_j⟩|²
 // for X across opts.Procs processes under opts.Strategy, exchanging shards
@@ -447,8 +375,8 @@ func mirror(gram [][]float64) {
 	}
 }
 
-// simErrf formats a simulation failure; label names the shard ("test",
-// "recovered") or is empty for a training-Gram shard.
+// simErrf formats a simulation failure; label names the shard ("test") or
+// is empty for a training-Gram shard.
 func simErrf(rank int, label string, index int, err error) error {
 	if label != "" {
 		return fmt.Errorf("dist: proc %d: %s state %d: %w", rank, label, index, err)

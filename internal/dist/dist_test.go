@@ -55,6 +55,26 @@ func checkAgree(t *testing.T, name string, ref, got [][]float64) {
 	}
 }
 
+// checkIdentical is checkAgree at ==: paths that compute the same overlaps
+// in the same orientation must reproduce the reference bit for bit, not
+// merely close.
+func checkIdentical(t *testing.T, name string, ref, got [][]float64) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got), len(ref))
+	}
+	for i := range ref {
+		if len(got[i]) != len(ref[i]) {
+			t.Fatalf("%s: row %d has %d cols, want %d", name, i, len(got[i]), len(ref[i]))
+		}
+		for j := range ref[i] {
+			if got[i][j] != ref[i][j] {
+				t.Fatalf("%s: entry (%d,%d) not bit-identical: %v vs %v", name, i, j, got[i][j], ref[i][j])
+			}
+		}
+	}
+}
+
 func TestStrategyString(t *testing.T) {
 	if RoundRobin.String() != "round-robin" || NoMessaging.String() != "no-messaging" {
 		t.Fatalf("strategy names wrong: %q, %q", RoundRobin, NoMessaging)

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -95,125 +94,70 @@ func unmarshalShard(s Shard, rows int, cfg mps.Config) ([]*mps.MPS, error) {
 	return states, nil
 }
 
-// retrySend delivers one shard under the Options retry budget: a transient
-// send failure is retried up to o.MaxRetries times with exponential backoff
-// + deterministic jitter. ErrRankCrashed is never retried — it is the
-// sender's own death, not a wire hiccup.
-func retrySend(ep Endpoint, to int, s Shard, o Options, st *ProcStats, sp *obs.Span) (int64, error) {
-	for attempt := 0; ; attempt++ {
-		b, err := ep.Send(to, s)
-		if err == nil {
-			return b, nil
-		}
-		if errors.Is(err, ErrRankCrashed) || attempt >= o.MaxRetries {
-			return 0, err
-		}
-		st.Retries++
-		sp.Event("retry", obs.KV("to", to), obs.KV("attempt", attempt+1))
-		time.Sleep(retryBackoff(o.Backoff, attempt+1, uint64(to)))
-	}
-}
-
 // sendRing performs rank p's send side of the exchange: one copy of its
 // shard to every other rank, walking the ring (p+1, p+2, …) so the per-round
 // destinations rotate as in the paper's round-robin schedule. Transports
 // buffer every message a rank can receive, so sends do not block on slow
-// receivers. A send that still fails after the retry budget is counted
-// (SendFailures) but does not abort the ring: peers reachable over healthy
-// links must still get their shard — stopping after one broken link would
-// starve every remaining receiver, not just the unreachable one, whose own
-// deadline-driven recovery covers the undelivered shard. The exception is
-// ErrRankCrashed — the sender's own injected death — which aborts
-// immediately; the caller abandons the exchange without publishing results.
-func sendRing(p int, s Shard, ep Endpoint, k int, o Options, st *ProcStats, sp *obs.Span) (crashed bool) {
+// receivers. A failed send is not retried, and it does not stop the ring:
+// peers reachable over healthy links still get their shard instead of
+// waiting out their deadline. The first failure is returned once the ring
+// completes, as a *RankFailedError naming the unreachable peer.
+func sendRing(p int, s Shard, ep Endpoint, k int, st *ProcStats) error {
+	var first error
 	for r := 1; r < k; r++ {
-		b, err := retrySend(ep, (p+r)%k, s, o, st, sp)
+		to := (p + r) % k
+		b, err := ep.Send(to, s)
 		if err != nil {
-			if errors.Is(err, ErrRankCrashed) {
-				sp.Event("crashed")
-				return true
+			if first == nil {
+				first = &RankFailedError{Rank: to, Err: err}
 			}
-			st.SendFailures++
-			sp.Event("send_failure", obs.KV("to", (p+r)%k))
 			continue
 		}
 		st.MessagesSent++
 		st.BytesSent += b
 	}
-	return false
+	return first
 }
 
-// exchangeRecv drains rank self's side of one exchange round: it expects one
-// shard from each of the other k−1 ranks, calling onShard for every distinct
-// delivery, and classifies everything that can go wrong so the caller can
-// recover:
-//
-//   - a *RankFailedError marks its rank dead (the wire proved the peer is
-//     gone, so the survivors must also take over its side of the schedule);
-//   - an expired deadline (ErrRecvTimeout) stops the wait — every rank still
-//     unaccounted for is returned as missing (its shard was lost, but the
-//     peer may be alive and computing, so only cells this rank owns may be
-//     recovered for it);
-//   - duplicate deliveries, echoes of self, and late shards from ranks
-//     already marked dead are discarded (DupsDropped);
-//   - ErrRankCrashed (self's own injected death) and onShard errors abort.
-//
-// The wait time lands in CommTime; onShard does its own phase accounting.
-func exchangeRecv(ep Endpoint, k, self int, o Options, st *ProcStats, sp *obs.Span, onShard func(Shard) error) (dead, missing []int, err error) {
+// exchangeRecv drains rank self's side of the exchange: exactly one shard
+// from each of the other k−1 ranks, each handed to onShard. Any Recv error —
+// ErrRecvTimeout, or the *RankFailedError a TCP reader delivers for a broken
+// connection — fails the rank with an error naming it and the ranks whose
+// shards are still missing. A shard from an invalid rank, or a second shard
+// from the same rank, is refused. The wait time lands in CommTime; onShard
+// does its own phase accounting.
+func exchangeRecv(ep Endpoint, k, self int, deadline time.Duration, st *ProcStats, sp *obs.Span, onShard func(Shard) error) error {
 	seen := make([]bool, k)
 	seen[self] = true
-	deadSet := make([]bool, k)
-	pending := k - 1
-	for pending > 0 {
+	for pending := k - 1; pending > 0; pending-- {
 		var in Shard
-		var recvErr error
+		var err error
 		st.CommTime += timed(func() {
-			in, recvErr = ep.Recv(o.Deadline)
+			in, err = ep.Recv(deadline)
 		})
-		switch {
-		case recvErr == nil:
-			from := in.From
-			if from < 0 || from >= k {
-				return nil, nil, fmt.Errorf("dist: rank %d received shard from invalid rank %d", self, from)
-			}
-			if seen[from] || deadSet[from] {
-				st.DupsDropped++
-				sp.Event("dup_dropped", obs.KV("from", from))
-				continue
-			}
-			seen[from] = true
-			pending--
-			sp.Event("shard_recv", obs.KV("from", from), obs.KV("bytes", in.WireBytes()))
-			if onErr := onShard(in); onErr != nil {
-				return nil, nil, onErr
-			}
-		case errors.Is(recvErr, ErrRecvTimeout):
-			st.Timeouts++
-			for r := 0; r < k; r++ {
-				if !seen[r] && !deadSet[r] {
+		if err != nil {
+			var missing []int
+			for r, ok := range seen {
+				if !ok {
 					missing = append(missing, r)
 				}
 			}
-			sp.Event("timeout", obs.KV("missing", len(missing)))
-			return dead, missing, nil
-		case errors.Is(recvErr, ErrRankCrashed):
-			sp.Event("crashed")
-			return nil, nil, recvErr
-		default:
-			var rf *RankFailedError
-			if errors.As(recvErr, &rf) {
-				if rf.Rank >= 0 && rf.Rank < k && !seen[rf.Rank] && !deadSet[rf.Rank] {
-					deadSet[rf.Rank] = true
-					dead = append(dead, rf.Rank)
-					pending--
-					sp.Event("rank_dead", obs.KV("rank", rf.Rank))
-				}
-				continue
-			}
-			return nil, nil, recvErr
+			return fmt.Errorf("dist: rank %d: shards from ranks %v never arrived: %w", self, missing, err)
+		}
+		from := in.From
+		if from < 0 || from >= k {
+			return fmt.Errorf("dist: rank %d received shard from invalid rank %d", self, from)
+		}
+		if seen[from] {
+			return fmt.Errorf("dist: rank %d received a second shard from rank %d", self, from)
+		}
+		seen[from] = true
+		sp.Event("shard_recv", obs.KV("from", from), obs.KV("bytes", in.WireBytes()))
+		if err := onShard(in); err != nil {
+			return err
 		}
 	}
-	return dead, missing, nil
+	return nil
 }
 
 // timed runs f and returns its elapsed wall-clock.

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -83,32 +82,25 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	}
 
 	// Phase 2: serialise the local shard once and send a copy to every
-	// other process around the ring, retrying transient failures under the
-	// Options budget. On a marshal failure the sends still complete (with an
-	// empty shard) so no peer blocks on a receive that would never arrive;
-	// the error is reported after. A rank whose own injected crash fires
-	// here abandons the exchange entirely — crucially *before* publishing
-	// retain/rowCosts/gram cells, so the survivors' recovery writes (which
-	// take over exactly this rank's share of the schedule) race with
-	// nothing.
+	// other process around the ring. On a marshal failure the sends still
+	// complete (with an empty shard) so no peer waits out its deadline on a
+	// shard that would never arrive; the error is reported after.
 	var own Shard
-	var marshalErr error
-	var crashed bool
+	var marshalErr, sendErr error
 	sendSp := sp.Child("exchange_send")
 	st.CommTime += timed(func() {
 		own, marshalErr = marshalShard(p, owned, states)
 		if marshalErr != nil {
 			own = Shard{From: p}
 		}
-		crashed = sendRing(p, own, ep, k, opts, st, sendSp)
+		sendErr = sendRing(p, own, ep, k, st)
 	})
 	sendSp.End()
 	if marshalErr != nil {
 		return marshalErr
 	}
-	if crashed {
-		st.Crashed = true
-		return nil
+	if sendErr != nil {
+		return sendErr
 	}
 	for a, i := range owned {
 		retain[i] = states[a]
@@ -135,8 +127,8 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	// each (comm) and compute the cross pairs this rank owns: (i, j) with i
 	// local, j remote, i < j. The mirror-image j < i pairs are computed by
 	// the remote rank when this rank's shard reaches it, so every entry is
-	// computed exactly once cluster-wide — the recovery path below preserves
-	// that exactly-once discipline for whatever never arrived.
+	// computed exactly once cluster-wide. A shard that never arrives fails
+	// the computation (exchangeRecv).
 	onShard := func(in Shard) error {
 		var remote []*mps.MPS
 		var uerr error
@@ -160,160 +152,13 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 		return nil
 	}
 	recvSp := sp.Child("exchange_recv")
-	dead, missing, err := exchangeRecv(ep, k, p, opts, st, recvSp, onShard)
+	err := exchangeRecv(ep, k, p, opts.Deadline, st, recvSp, onShard)
 	recvSp.End()
 	if err != nil {
 		return err
 	}
 	for _, c := range counts {
 		st.InnerProducts += c
-	}
-
-	// Phase 4: recover whatever never arrived.
-	if len(dead)+len(missing) > 0 {
-		recSp := sp.Child("recover")
-		recSp.SetAttr("dead", len(dead))
-		recSp.SetAttr("missing", len(missing))
-		err := recoverGram(q, X, gram, retain, st, pl, assign, owned, states, dead, missing, rowCosts, recSp)
-		recSp.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recoverGram recomputes the Gram contribution of peers whose shard never
-// arrived, re-materialising their rows locally through the no-messaging path
-// (cache-aware, so after the sim barrier the states are usually resident and
-// bit-identical handles). The write discipline distinguishes two cases:
-//
-//   - A *missing* peer (deadline expiry) may well be alive and computing —
-//     only its shard was lost. This rank fills only the cells its own ring
-//     schedule owed against that shard (i local, j remote, j > i); the
-//     peer's side is still written by the peer, so no cell is written twice.
-//   - A *dead* peer (failure envelope — injected crash or broken connection)
-//     published nothing, so its entire share of the schedule must be taken
-//     over: this rank additionally fills the mirror cells it shares with the
-//     dead rank (j < i), and the lowest-ranked survivor — every survivor
-//     derives the same dead set from the broadcast envelopes, so the choice
-//     is consistent without coordination — fills the dead shards' internal
-//     triangles, the dead×dead cross cells, and the dead rows' retained
-//     states and costs.
-//
-// All recovered cells keep the serial path's orientation (the lower-index
-// state is the first Overlap argument), so recovery is bit-identical.
-//
-// Caveat: a broken TCP connection yields a failure envelope even if the peer
-// process is in fact alive; full takeover then writes cells the peer may
-// also write. The values are bit-identical either way, and the in-process
-// transports never hit this (their envelopes only come from injected
-// crashes, whose ranks provably publish nothing).
-func recoverGram(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mps.MPS, st *ProcStats, pl pool, assign [][]int, owned []int, states []*mps.MPS, dead, missing []int, rowCosts []time.Duration, sp *obs.Span) error {
-	deadSet := make(map[int]bool, len(dead))
-	for _, c := range dead {
-		deadSet[c] = true
-	}
-	lost := make([]int, 0, len(dead)+len(missing))
-	lost = append(append(lost, dead...), missing...)
-	sort.Ints(lost)
-
-	recovered := make(map[int][]*mps.MPS, len(lost))
-	recCosts := make(map[int][]time.Duration, len(lost))
-	for _, c := range lost {
-		idx := assign[c]
-		sts := make([]*mps.MPS, len(idx))
-		costs := make([]time.Duration, len(idx))
-		var simErr error
-		st.SimTime += timed(func() {
-			simErr = simulateOwned(q, X, idx, sts, pl, st, "recovered", costs, sp)
-		})
-		if simErr != nil {
-			return simErr
-		}
-		st.RecoveredRows += len(idx)
-		sp.Event("recovered_rows", obs.KV("rank", c), obs.KV("rows", len(idx)), obs.KV("dead", deadSet[c]))
-		recovered[c] = sts
-		recCosts[c] = costs
-	}
-
-	// This rank's own schedule against each lost shard; for dead peers also
-	// the mirror cells the dead rank would have computed.
-	counts := make([]int, len(owned))
-	st.InnerTime += timed(func() {
-		for _, c := range lost {
-			idx, sts, isDead := assign[c], recovered[c], deadSet[c]
-			pl.runWS(len(owned), func(ws *mps.Workspace, a int) {
-				i := owned[a]
-				for b, j := range idx {
-					switch {
-					case j > i:
-						gram[i][j] = ws.Overlap(states[a], sts[b])
-						counts[a]++
-					case isDead && j < i:
-						gram[j][i] = ws.Overlap(sts[b], states[a])
-						counts[a]++
-					}
-				}
-			})
-		}
-	})
-	for _, c := range counts {
-		st.InnerProducts += c
-	}
-
-	if len(dead) == 0 {
-		return nil
-	}
-	survivor := 0
-	for deadSet[survivor] {
-		survivor++
-	}
-	if st.Rank != survivor {
-		return nil
-	}
-	deadSorted := append([]int(nil), dead...)
-	sort.Ints(deadSorted)
-	// The designated survivor computes the cells no live rank's schedule
-	// covers: each dead shard's internal upper triangle (diagonal included)
-	// and the cross cells between pairs of dead shards.
-	for x, c1 := range deadSorted {
-		for _, c2 := range deadSorted[x:] {
-			idx1, sts1 := assign[c1], recovered[c1]
-			idx2, sts2 := assign[c2], recovered[c2]
-			same := c1 == c2
-			cnt := make([]int, len(idx1))
-			st.InnerTime += timed(func() {
-				pl.runWS(len(idx1), func(ws *mps.Workspace, a int) {
-					for b := range idx2 {
-						if same && b < a {
-							continue
-						}
-						i, j := idx1[a], idx2[b]
-						lo, hi := sts1[a], sts2[b]
-						if j < i {
-							i, j = j, i
-							lo, hi = hi, lo
-						}
-						gram[i][j] = ws.Overlap(lo, hi)
-						cnt[a]++
-					}
-				})
-			})
-			for _, c := range cnt {
-				st.InnerProducts += c
-			}
-		}
-	}
-	// Publish the dead rows' retained handles and measured costs, which the
-	// dead rank never did.
-	for _, c := range deadSorted {
-		for b, j := range assign[c] {
-			retain[j] = recovered[c][b]
-			if rowCosts != nil {
-				rowCosts[j] = recCosts[c][b]
-			}
-		}
 	}
 	return nil
 }

@@ -52,13 +52,18 @@ func (t *SimTransport) jitterFor(from, seq int) time.Duration {
 	if t.Jitter <= 0 {
 		return 0
 	}
-	x := t.Seed ^ uint64(from)<<32 ^ uint64(seq)
+	x := splitmix64(t.Seed ^ uint64(from)<<32 ^ uint64(seq))
+	frac := float64(x>>11) / float64(1<<53)
+	return time.Duration(frac * float64(t.Jitter))
+}
+
+// splitmix64 is the avalanche hash behind every deterministic draw in this
+// package: SimTransport's jitter and the TCP dial backoff's.
+func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	frac := float64(x>>11) / float64(1<<53)
-	return time.Duration(frac * float64(t.Jitter))
+	return x ^ (x >> 31)
 }
 
 // Network builds the cost-modelled wire for k ranks.
@@ -68,9 +73,8 @@ func (t *SimTransport) Network(k int) (Network, error) {
 	}
 	n := &simNetwork{t: t, inboxes: make([]chan simMsg, k)}
 	for p := range n.inboxes {
-		// Same headroom as the chan wire: a full exchange round plus a full
-		// round of injected duplicates must never block a sender, even when
-		// the receiver timed out and stopped draining.
+		// Same headroom as the chan wire: a full exchange round must never
+		// block a sender, even when the receiver failed and stopped draining.
 		n.inboxes[p] = make(chan simMsg, 3*k)
 	}
 	return n, nil

@@ -26,22 +26,16 @@ import (
 // 16-byte record header (global index, payload length) and the
 // mps.MarshalBinary payload.
 //
-// Mesh setup is fault-tolerant: each dial + hello is retried with
-// exponential backoff (a peer's listener that is momentarily saturated or a
-// transient refusal no longer kills the whole network), and every
-// early-return path releases what it opened — the per-rank listener closes
-// via defer, dialled connections are registered in the mesh the moment they
-// exist so the caller's Close tears them down.
-type TCPTransport struct {
-	// DialRetries bounds the additional dial/hello attempts per connection
-	// after the first failure; 0 selects the default (3), negative disables
-	// retrying.
-	DialRetries int
-	// DialBackoff is the base exponential backoff between dial attempts;
-	// 0 selects the default (20ms).
-	DialBackoff time.Duration
-}
+// Mesh setup is bounded: each dial + hello is retried up to
+// defaultDialRetries more times with exponential backoff (a peer's listener
+// that is momentarily saturated or a transient refusal does not kill the
+// whole network), and every early-return path releases what it opened — the
+// per-rank listener closes via defer, dialled connections are registered in
+// the mesh the moment they exist so the caller's Close tears them down.
+type TCPTransport struct{}
 
+// Dial budget per connection: the additional attempts after the first
+// failure, and the base of the exponential backoff between them.
 const (
 	defaultDialRetries = 3
 	defaultDialBackoff = 20 * time.Millisecond
@@ -66,22 +60,12 @@ const (
 )
 
 // Network wires up k ranks over loopback sockets.
-func (t TCPTransport) Network(k int) (Network, error) {
+func (TCPTransport) Network(k int) (Network, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dist: network needs ≥ 1 rank, got %d", k)
 	}
 	if k > maxTCPRanks {
 		return nil, fmt.Errorf("dist: tcp transport supports ≤ %d ranks, got %d", maxTCPRanks, k)
-	}
-	retries := t.DialRetries
-	if retries == 0 {
-		retries = defaultDialRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	backoff := t.DialBackoff
-	if backoff <= 0 {
-		backoff = defaultDialBackoff
 	}
 	n := &tcpNetwork{
 		conns:   make([][]*tcpConn, k),
@@ -91,13 +75,13 @@ func (t TCPTransport) Network(k int) (Network, error) {
 	for p := range n.conns {
 		n.conns[p] = make([]*tcpConn, k)
 		// Capacity for every message a rank can receive per exchange phase
-		// (k−1), a full round of injected duplicates (k−1) and one error
-		// envelope per connection (k−1): neither data deliveries nor failure
-		// reports can ever block a reader, even when the receiving rank has
-		// timed out and stopped draining.
+		// (k−1) plus one error envelope per connection (k−1), with room to
+		// spare: neither data deliveries nor failure reports can ever block
+		// a reader, even when the receiving rank has failed and stopped
+		// draining.
 		n.inboxes[p] = make(chan tcpMsg, 3*k)
 	}
-	if err := n.dialMesh(k, retries, backoff); err != nil {
+	if err := n.dialMesh(k); err != nil {
 		_ = n.Close()
 		return nil, err
 	}
@@ -145,9 +129,9 @@ type tcpNetwork struct {
 // partial mesh is fully released: dialRank's listener closes via defer, and
 // every connection already established is registered in n.conns, which the
 // caller tears down through n.Close.
-func (n *tcpNetwork) dialMesh(k, retries int, backoff time.Duration) error {
+func (n *tcpNetwork) dialMesh(k int) error {
 	for q := 1; q < k; q++ {
-		if err := n.dialRank(q, retries, backoff); err != nil {
+		if err := n.dialRank(q); err != nil {
 			return err
 		}
 	}
@@ -155,14 +139,14 @@ func (n *tcpNetwork) dialMesh(k, retries int, backoff time.Duration) error {
 }
 
 // dialRank wires every rank p < q to rank q's listener.
-func (n *tcpNetwork) dialRank(q, retries int, backoff time.Duration) error {
+func (n *tcpNetwork) dialRank(q int) error {
 	ln, err := net.Listen("tcp", tcpNetworkAddress)
 	if err != nil {
 		return fmt.Errorf("dist: tcp listen for rank %d: %w", q, err)
 	}
 	defer ln.Close()
 	for p := 0; p < q; p++ {
-		c, err := dialWithRetry(ln.Addr().String(), p, retries, backoff)
+		c, err := dialWithRetry(ln.Addr().String(), p, defaultDialRetries, defaultDialBackoff)
 		if err != nil {
 			return fmt.Errorf("dist: tcp dial %d→%d: %w", p, q, err)
 		}
@@ -217,6 +201,25 @@ func dialWithRetry(addr string, rank, retries int, backoff time.Duration) (net.C
 	return nil, lastErr
 }
 
+// retryBackoff is the pause before retry attempt n (1-based): base·2^(n−1),
+// capped at 32·base, plus up to +50% deterministic jitter so simultaneous
+// diallers decorrelate without losing reproducibility.
+func retryBackoff(base time.Duration, attempt int, seed uint64) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	shift := attempt - 1
+	if shift < 0 {
+		shift = 0
+	}
+	if shift > 5 {
+		shift = 5
+	}
+	d := base << uint(shift)
+	frac := float64(splitmix64(seed^uint64(attempt)<<32)>>11) / float64(1<<53)
+	return d + time.Duration(frac*0.5*float64(d))
+}
+
 func newTCPConn(c net.Conn) *tcpConn {
 	return &tcpConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
 }
@@ -227,8 +230,8 @@ func newTCPConn(c net.Conn) *tcpConn {
 // naming q: swallowing it would leave a Recv blocked forever on a shard that
 // can no longer arrive (the network is only closed after every rank returns,
 // so the close-side escape hatch would never fire), and naming the peer lets
-// the strategies take over the dead rank's share of the schedule. The inbox
-// is sized so the envelope push cannot block.
+// the receiving rank fail with an error that says which peer is gone. The
+// inbox is sized so the envelope push cannot block.
 func (n *tcpNetwork) readLoop(p, q int, c *tcpConn) {
 	defer n.readers.Done()
 	for {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -76,91 +75,12 @@ func TestGramTraceSpanTree(t *testing.T) {
 			t.Fatalf("row span %d missing 'chi' attr: %v", sp.ID, sp.Attrs)
 		}
 	}
-	// Healthy run: no fault-path events anywhere in the tree.
-	evs := snapshotEventCounts(tr)
-	for _, name := range []string{"retry", "timeout", "recovered_rows", "crashed", "rank_dead", "send_failure"} {
-		if evs[name] != 0 {
-			t.Errorf("healthy run recorded %d %q events, want 0", evs[name], name)
-		}
+	// Every rank records one shard_recv event per peer's shard.
+	if got := snapshotEventCounts(tr)["shard_recv"]; got != procs*(procs-1) {
+		t.Errorf("shard_recv event count = %d, want %d", got, procs*(procs-1))
 	}
-	if res.TotalRetries()+res.TotalTimeouts()+res.TotalRecoveredRows() != 0 {
-		t.Fatalf("healthy run has nonzero fault counters: %+v", res.Procs)
+	// The benchmark still reads the retry and recovery counters; they stay 0.
+	if res.TotalRetries()+res.TotalRecoveredRows() != 0 {
+		t.Fatalf("retry/recovery counters read %d and %d, want 0", res.TotalRetries(), res.TotalRecoveredRows())
 	}
 }
-
-// TestChaosTraceEventsMatchCounters: under seeded chaos the trace's
-// fault-path events appear exactly when the corresponding ProcStats
-// counters are nonzero — the trace is a faithful narration of the
-// recovery machinery, not a parallel guess.
-func TestChaosTraceEventsMatchCounters(t *testing.T) {
-	cases := []chaosCase{
-		{name: "drop-all", plan: FaultPlan{Seed: 5, DropProb: 1},
-			deadline: 150 * time.Millisecond, wantTimeouts: true, wantRecovered: true},
-		{name: "send-fail-retry", plan: FaultPlan{Seed: 9, SendFailProb: 0.6},
-			deadline: 150 * time.Millisecond, retries: 6, wantRetries: true},
-		{name: "crash-one", plan: FaultPlan{Seed: 1, CrashRanks: []int{1}},
-			deadline: 2 * time.Second, wantRecovered: true},
-		{name: "dup-all", plan: FaultPlan{Seed: 7, DupProb: 1},
-			deadline: 2 * time.Second, wantDups: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			X := testData(t, 12, 6)
-			q := testKernel(6)
-			ref, err := q.Gram(X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ft := &FaultTransport{Inner: ChanTransport{}, Plan: tc.plan}
-			tr := obs.NewTrace(obs.NewID(), "chaos-gram")
-			res, err := ComputeGram(q, X, Options{
-				Procs: 3, Strategy: RoundRobin, Transport: ft,
-				Deadline: tc.deadline, MaxRetries: tc.retries, Backoff: time.Millisecond,
-				Span: tr.Root(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr.Root().End()
-			checkIdentical(t, tc.name, ref, res.Gram)
-
-			evs := snapshotEventCounts(tr)
-			type pair struct {
-				event   string
-				counter int
-			}
-			for _, p := range []pair{
-				{"retry", res.TotalRetries()},
-				{"timeout", res.TotalTimeouts()},
-				{"dup_dropped", res.TotalDupsDropped()},
-			} {
-				if (evs[p.event] > 0) != (p.counter > 0) {
-					t.Errorf("%s: %d %q events but counter=%d — trace and counters disagree",
-						tc.name, evs[p.event], p.event, p.counter)
-				}
-			}
-			// recovered_rows events are per recovering (rank, lost-rank) pair;
-			// their summed rows attr must equal the counter.
-			recovered := 0
-			for _, sp := range tr.Snapshot().Spans {
-				for _, ev := range sp.Events {
-					if ev.Name == "recovered_rows" {
-						if n, ok := ev.Attrs["rows"].(int); ok {
-							recovered += n
-						}
-					}
-				}
-			}
-			if recovered != res.TotalRecoveredRows() {
-				t.Errorf("%s: recovered_rows events sum to %d, counter says %d",
-					tc.name, recovered, res.TotalRecoveredRows())
-			}
-			if tc.wantRecovered && snapshotNames(tr)["recover"] == 0 {
-				t.Errorf("%s: rows were recovered but no recover span recorded", tc.name)
-			}
-		})
-	}
-}
-
-// snapshotNames is spanNames under a name the chaos test reads naturally.
-func snapshotNames(tr *obs.Trace) map[string]int { return spanNames(tr) }

@@ -64,38 +64,27 @@ type Endpoint interface {
 	// timeout (≤ 0 waits forever). Shards are tagged with their origin
 	// (Shard.From), so arrival order is irrelevant. When the deadline
 	// expires first, Recv returns ErrRecvTimeout; when the wire learns a
-	// peer can no longer deliver (broken connection, injected crash), it
-	// returns a *RankFailedError naming the dead rank. Both are recoverable:
-	// the strategies re-derive the lost rows locally (see recoverGram).
+	// peer can no longer deliver (a broken TCP connection), it returns a
+	// *RankFailedError naming that peer. Either fails the exchange.
 	Recv(timeout time.Duration) (Shard, error)
 }
 
 // ErrRecvTimeout is returned by Endpoint.Recv when the per-message deadline
-// (Options.Deadline) expires before any shard arrives. The strategies treat
-// the still-missing peers' shards as lost and recover their rows locally.
+// (Options.Deadline) expires before any shard arrives. The exchange then
+// fails with an error that wraps it and names the ranks whose shards are
+// missing.
 var ErrRecvTimeout = errors.New("dist: shard receive deadline exceeded")
 
-// ErrRankCrashed is returned by a FaultTransport endpoint whose own rank was
-// configured to crash (FaultPlan.CrashRanks): from the moment the crash
-// fires, every Send and Recv on that rank fails with this error, and the
-// rank's goroutine abandons the exchange without publishing results.
-var ErrRankCrashed = errors.New("dist: rank crashed (injected fault)")
-
-// RankFailedError is delivered through Recv when the wire knows a specific
-// peer can no longer deliver its shards — a broken TCP connection mid-read,
-// or a FaultTransport-injected whole-rank crash. Unlike a bare timeout
-// (which only proves a message was lost), a RankFailedError proves the rank
-// itself is gone, so the survivors additionally take over the dead rank's
-// side of the exchange schedule.
+// RankFailedError names a peer the wire can no longer reach: a TCP reader
+// delivers one through Recv when its connection breaks mid-read, and the
+// ring returns one when a send to that peer fails. Either fails the
+// exchange; Err is the wire's own error.
 type RankFailedError struct {
 	Rank int
-	Err  error // underlying cause, nil for injected crashes
+	Err  error
 }
 
 func (e *RankFailedError) Error() string {
-	if e.Err == nil {
-		return fmt.Sprintf("dist: rank %d failed", e.Rank)
-	}
 	return fmt.Sprintf("dist: rank %d failed: %v", e.Rank, e.Err)
 }
 
@@ -128,10 +117,9 @@ func newChanNetwork(k int) *chanNetwork {
 	n := &chanNetwork{inboxes: make([]chan Shard, k)}
 	for p := range n.inboxes {
 		// Capacity for every message a rank can receive in one exchange
-		// phase — including a full round of FaultTransport-injected
-		// duplicates and per-peer failure envelopes — so senders never
-		// block and no schedule can deadlock even when the receiver has
-		// stopped draining (it timed out and moved on to recovery).
+		// phase (k−1), with room to spare, so senders never block and no
+		// schedule can deadlock even when the receiver has stopped
+		// draining (it failed and returned).
 		n.inboxes[p] = make(chan Shard, 3*k)
 	}
 	return n
@@ -202,18 +190,4 @@ func TransportName(t Transport) string {
 		return ChanTransport{}.Name()
 	}
 	return t.Name()
-}
-
-// BaseTransport strips chaos wrappers and returns the underlying wire.
-// Persistence uses it so a model trained under fault injection records the
-// real transport name ("tcp", not "fault+tcp") and round-trips through
-// ParseTransport on load.
-func BaseTransport(t Transport) Transport {
-	for {
-		ft, ok := t.(*FaultTransport)
-		if !ok {
-			return t
-		}
-		t = ft.Inner
-	}
 }

@@ -1,7 +1,13 @@
 package dist
 
 import (
+	"errors"
+	"io"
+	"net"
+	"runtime"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -285,7 +291,8 @@ func TestObservedRowCosts(t *testing.T) {
 			t.Fatalf("%v: %d distinct costs over %d rows on 3 ranks, want each row timed itself", strat, len(distinct), len(X))
 		}
 	}
-	gramRes, err := ComputeGram(q, X[:8], Options{Procs: 2})
+	// A healthy exchange never needs its deadline, so this one waits without.
+	gramRes, err := ComputeGram(q, X[:8], Options{Procs: 2, Deadline: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,4 +308,231 @@ func TestObservedRowCosts(t *testing.T) {
 			t.Fatalf("cross-states test row %d observed cost %v, want > 0", i, c)
 		}
 	}
+}
+
+// sabotagedTransport wraps a wire for the failure tests: every Send goes
+// through send, which may deliver it on the inner endpoint, lose it, or fail
+// it. inner is the network the wrapped transport built.
+type sabotagedTransport struct {
+	inner Transport
+	send  func(inner Network, ep Endpoint, from, to int, s Shard) (int64, error)
+}
+
+func (t *sabotagedTransport) Name() string { return TransportName(t.inner) }
+
+func (t *sabotagedTransport) Network(k int) (Network, error) {
+	n, err := t.inner.Network(k)
+	if err != nil {
+		return nil, err
+	}
+	return &sabotagedNetwork{Network: n, t: t}, nil
+}
+
+type sabotagedNetwork struct {
+	Network
+	t *sabotagedTransport
+}
+
+func (n *sabotagedNetwork) Endpoint(rank int) Endpoint {
+	return &sabotagedEndpoint{Endpoint: n.Network.Endpoint(rank), n: n, rank: rank}
+}
+
+type sabotagedEndpoint struct {
+	Endpoint
+	n    *sabotagedNetwork
+	rank int
+}
+
+func (e *sabotagedEndpoint) Send(to int, s Shard) (int64, error) {
+	return e.n.t.send(e.n.Network, e.Endpoint, e.rank, to, s)
+}
+
+// TestGramFailsFastOnLostShard: a shard that cannot arrive fails the Gram
+// with a typed error — at once when the wire knows the peer is gone, after
+// Deadline when the shard just never shows up — and leaks no goroutines.
+func TestGramFailsFastOnLostShard(t *testing.T) {
+	X := testData(t, 6, 6)
+	q := testKernel(6)
+	run := func(t *testing.T, tr Transport, deadline time.Duration) (time.Duration, error) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		res, err := ComputeGram(q, X, Options{Procs: 2, Strategy: RoundRobin, Transport: tr, Deadline: deadline})
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatalf("ComputeGram returned a Gram (%d rows) despite a lost shard", len(res.Gram))
+		}
+		// Exiting goroutines may still be unwinding past their wg.Done.
+		for wait := time.Now(); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Since(wait) > 2*time.Second {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+			}
+		}
+		return elapsed, err
+	}
+
+	t.Run("tcp-peer-dies", func(t *testing.T) {
+		sent := make(chan struct{})
+		tr := &sabotagedTransport{inner: TCPTransport{}, send: func(inner Network, ep Endpoint, from, to int, s Shard) (int64, error) {
+			if from == 0 {
+				defer close(sent)
+				return ep.Send(to, s)
+			}
+			// Rank 1 dies once rank 0's shard is on the wire, so rank 0's
+			// send succeeds and only its receive can notice.
+			<-sent
+			for _, c := range inner.(*tcpNetwork).conns[1] {
+				if c != nil {
+					_ = c.c.Close()
+				}
+			}
+			return ep.Send(to, s)
+		}}
+		elapsed, err := run(t, tr, 5*time.Second)
+		var rf *RankFailedError
+		if !errors.As(err, &rf) || rf.Rank != 1 {
+			t.Fatalf("error %v does not name dead rank 1 as a *RankFailedError", err)
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("error %v does not wrap the broken connection's cause", err)
+		}
+		if elapsed >= time.Second {
+			t.Fatalf("a dead peer took %v to fail the Gram, want < 1s against a 5s deadline", elapsed)
+		}
+	})
+
+	t.Run("chan-shard-lost", func(t *testing.T) {
+		tr := &sabotagedTransport{inner: ChanTransport{}, send: func(_ Network, ep Endpoint, from, to int, s Shard) (int64, error) {
+			if from == 1 && to == 0 {
+				return s.WireBytes(), nil // lost in transit
+			}
+			return ep.Send(to, s)
+		}}
+		_, err := run(t, tr, 100*time.Millisecond)
+		if !errors.Is(err, ErrRecvTimeout) {
+			t.Fatalf("error %v does not wrap ErrRecvTimeout", err)
+		}
+		if !strings.Contains(err.Error(), "[1]") {
+			t.Fatalf("error %q does not name missing rank [1]", err)
+		}
+	})
+}
+
+// TestChaosNoMessagingUntouched: the no-messaging strategy never puts a
+// shard on the wire, so a wire on which every send fails changes nothing.
+func TestChaosNoMessagingUntouched(t *testing.T) {
+	X := testData(t, 10, 6)
+	q := testKernel(6)
+	ref, err := q.Gram(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sends atomic.Int64
+	tr := &sabotagedTransport{inner: ChanTransport{}, send: func(Network, Endpoint, int, int, Shard) (int64, error) {
+		sends.Add(1)
+		return 0, errors.New("injected send failure")
+	}}
+	res, err := ComputeGram(q, X, Options{Procs: 3, Strategy: NoMessaging, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentical(t, "no-messaging", ref, res.Gram)
+	if res.TotalMessages() != 0 || sends.Load() != 0 {
+		t.Fatalf("no-messaging touched the wire: %d messages, %d send attempts", res.TotalMessages(), sends.Load())
+	}
+}
+
+// TestFaultRecvTimeout: every wire's Recv honours its deadline with
+// ErrRecvTimeout when nothing arrives.
+func TestFaultRecvTimeout(t *testing.T) {
+	for _, tr := range []Transport{ChanTransport{}, &SimTransport{}, TCPTransport{}} {
+		n, err := tr.Network(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = n.Endpoint(0).Recv(20 * time.Millisecond)
+		if !errors.Is(err, ErrRecvTimeout) {
+			t.Errorf("%s: Recv = %v, want ErrRecvTimeout", TransportName(tr), err)
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Errorf("%s: deadline of 20ms took %v", TransportName(tr), time.Since(start))
+		}
+		n.Close()
+	}
+}
+
+// TestFaultRetryBackoff: the dial backoff grows exponentially, caps at 32×,
+// and jitters deterministically.
+func TestFaultRetryBackoff(t *testing.T) {
+	base := time.Millisecond
+	prev := time.Duration(0)
+	for attempt := 1; attempt <= 6; attempt++ {
+		d := retryBackoff(base, attempt, 7)
+		lo := base << uint(attempt-1)
+		if d < lo || d > lo+lo/2 {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, lo+lo/2)
+		}
+		if d <= prev {
+			t.Fatalf("attempt %d: backoff %v did not grow past %v", attempt, d, prev)
+		}
+		prev = d
+	}
+	// Capped at 32×base (plus jitter) from attempt 6 on.
+	if d := retryBackoff(base, 40, 7); d > 48*time.Millisecond {
+		t.Fatalf("attempt 40: backoff %v exceeds the 32×base(+50%%) cap", d)
+	}
+	if retryBackoff(base, 3, 9) != retryBackoff(base, 3, 9) {
+		t.Fatal("backoff must be deterministic for a fixed (attempt, seed)")
+	}
+	if retryBackoff(0, 3, 9) != 0 {
+		t.Fatal("zero base must mean no pause")
+	}
+}
+
+// TestFaultDialRetryExhausts: dialling a port nobody listens on burns the
+// whole retry budget and reports the attempt count.
+func TestFaultDialRetryExhausts(t *testing.T) {
+	// Reserve a port, then close it so the dial target is dead.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	start := time.Now()
+	if _, err := dialWithRetry(addr, 1, 2, time.Millisecond); err == nil {
+		t.Fatal("dialling a closed port must fail")
+	}
+	if time.Since(start) < 2*time.Millisecond {
+		t.Fatalf("retry backoff not applied: failed in %v", time.Since(start))
+	}
+}
+
+// TestFaultDialRetrySucceedsLate: a listener that appears after the first
+// attempt is reached by a later one — the mesh survives slow-starting peers.
+func TestFaultDialRetrySucceedsLate(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // free the port; re-listen on it shortly
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		l2, err := net.Listen("tcp", addr)
+		if err != nil {
+			return // port raced away; the test will fail on dial and report it
+		}
+		defer l2.Close()
+		c, err := l2.Accept()
+		if err == nil {
+			c.Close()
+		}
+	}()
+	c, err := dialWithRetry(addr, 0, 8, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("dial with retries should reach the late listener: %v", err)
+	}
+	c.Close()
 }

@@ -3,8 +3,6 @@ package dist
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -45,86 +43,4 @@ func (w *WireFlags) Build() (Transport, error) {
 		return nil, fmt.Errorf("dist: -wire-latency-us/-wire-mbps/-wire-jitter-us model the simulated wire; use them with -transport sim")
 	}
 	return tr, nil
-}
-
-// FaultFlags is the fault-tolerance flag bundle: the exchange deadline /
-// retry / backoff knobs that apply to every distributed run, plus the
-// -fault-* chaos-injection plan that wraps the selected transport in a
-// FaultTransport when any fault knob is set.
-type FaultFlags struct {
-	// Deadline, Retries and Backoff populate Options.Deadline, MaxRetries
-	// and Backoff (zero keeps the dist defaults; negative Deadline waits
-	// forever, negative Retries disables retry).
-	Deadline time.Duration
-	Retries  int
-	Backoff  time.Duration
-
-	// The FaultPlan knobs. Crash is a comma-separated rank list.
-	Seed      uint64
-	Drop      float64
-	Dup       float64
-	DelayProb float64
-	Delay     time.Duration
-	SendFail  float64
-	Crash     string
-}
-
-// Register installs the flags on fs.
-func (f *FaultFlags) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&f.Deadline, "dist-deadline", 0, "per-shard receive deadline (0 = dist default, negative = wait forever)")
-	fs.IntVar(&f.Retries, "dist-retries", 0, "max shard-send retries on transient wire errors (0 = dist default, negative = none)")
-	fs.DurationVar(&f.Backoff, "dist-backoff", 0, "base exponential backoff between send retries (0 = dist default)")
-	fs.Uint64Var(&f.Seed, "fault-seed", 0, "chaos injection: deterministic fault seed")
-	fs.Float64Var(&f.Drop, "fault-drop", 0, "chaos injection: per-message drop probability [0,1]")
-	fs.Float64Var(&f.Dup, "fault-dup", 0, "chaos injection: per-message duplicate-delivery probability [0,1]")
-	fs.Float64Var(&f.DelayProb, "fault-delay-prob", 0, "chaos injection: per-message delay probability [0,1]")
-	fs.DurationVar(&f.Delay, "fault-delay", 0, "chaos injection: sender-side delay applied when the delay roll fires")
-	fs.Float64Var(&f.SendFail, "fault-send-fail", 0, "chaos injection: per-attempt transient send-failure probability [0,1]")
-	fs.StringVar(&f.Crash, "fault-crash", "", "chaos injection: comma-separated ranks that crash mid-exchange")
-}
-
-// faulty reports whether any chaos knob was set (the deadline/retry knobs
-// alone do not wrap the transport).
-func (f *FaultFlags) faulty() bool {
-	return f.Drop != 0 || f.Dup != 0 || f.DelayProb != 0 || f.Delay != 0 ||
-		f.SendFail != 0 || f.Crash != "" || f.Seed != 0
-}
-
-// Wrap returns tr wrapped in a FaultTransport when any chaos knob is set,
-// or tr unchanged otherwise.
-func (f *FaultFlags) Wrap(tr Transport) (Transport, error) {
-	if !f.faulty() {
-		return tr, nil
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"-fault-drop", f.Drop}, {"-fault-dup", f.Dup}, {"-fault-delay-prob", f.DelayProb}, {"-fault-send-fail", f.SendFail}} {
-		if p.v < 0 || p.v > 1 {
-			return nil, fmt.Errorf("dist: %s must be in [0,1], got %g", p.name, p.v)
-		}
-	}
-	var crash []int
-	if f.Crash != "" {
-		for _, tok := range strings.Split(f.Crash, ",") {
-			r, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				return nil, fmt.Errorf("dist: -fault-crash wants a comma-separated rank list: %q", f.Crash)
-			}
-			crash = append(crash, r)
-		}
-	}
-	return &FaultTransport{Inner: tr, Plan: FaultPlan{
-		Seed: f.Seed, DropProb: f.Drop, DupProb: f.Dup,
-		DelayProb: f.DelayProb, Delay: f.Delay,
-		SendFailProb: f.SendFail, CrashRanks: crash,
-	}}, nil
-}
-
-// Apply copies the deadline/retry/backoff knobs onto o.
-func (f *FaultFlags) Apply(o Options) Options {
-	o.Deadline = f.Deadline
-	o.MaxRetries = f.Retries
-	o.Backoff = f.Backoff
-	return o
 }

@@ -88,12 +88,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st serve.Stats) float64 { return float64(st.Comm.Bytes) })
 	family("qkernel_dist_comm_seconds_total", "counter", "summed per-process communication wall-clock",
 		func(st serve.Stats) float64 { return st.Comm.CommWall.Seconds() })
-	family("qkernel_dist_retries_total", "counter", "shard-send retries after transient wire failures",
-		func(st serve.Stats) float64 { return float64(st.Comm.Retries) })
-	family("qkernel_dist_timeouts_total", "counter", "shard-receive deadlines expired",
-		func(st serve.Stats) float64 { return float64(st.Comm.Timeouts) })
-	family("qkernel_dist_recovered_rows_total", "counter", "kernel rows recomputed locally after a peer's shard never arrived",
-		func(st serve.Stats) float64 { return float64(st.Comm.RecoveredRows) })
 
 	// Latency histograms: one family declaration, one {model=...} labelset
 	// per model, cumulative le buckets ending at +Inf plus _sum/_count —
