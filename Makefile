@@ -8,7 +8,7 @@ BENCH_OUT := BENCH_$(DATE).json
 # serving path (ns/op per coalesced row), the transport ablation
 # (chan vs. sim vs. tcp-loopback wires under the same round-robin Gram), the
 # fused gate-engine bench (serial + parallel backends), and the blocked
-# tridiagonal eigensolver behind SVDTrunc.
+# tridiagonal eigensolver behind SVDTruncLazy.
 SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|BenchmarkFig5SimulationSerial|BenchmarkSVMTrain|BenchmarkFitPredictRoundTrip|BenchmarkGramFromStates|BenchmarkServeBatch|BenchmarkGramTransport|BenchmarkApplyCircuit|BenchmarkBlockedEig
 
 # The committed perf baseline: the newest BENCH_<date>.json tracked by git.
@@ -24,8 +24,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, so ./... does not reach it; it is vetted
+# explicitly, as `make test` tests it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); \

@@ -10,11 +10,11 @@
 //   - Serial — a lean, single-threaded code path with minimal per-op
 //     overhead. Like the CPU backend of the paper, it is fastest when bond
 //     dimensions are small.
-//   - Parallel — a throughput-oriented engine that distributes matrix
-//     products and Jacobi SVD sweeps over a worker pool and pays a fixed
-//     per-operation dispatch latency, modelling the kernel-launch and
-//     host↔device transfer overhead that makes real GPUs lose at small sizes
-//     and win at large ones.
+//   - Parallel — a throughput-oriented engine that distributes the matrix
+//     products and the dense stages of the truncation SVD over a worker
+//     pool and pays a fixed per-operation dispatch latency, modelling the
+//     kernel-launch and host↔device transfer overhead that makes real GPUs
+//     lose at small sizes and win at large ones.
 //
 // Both backends implement the identical MPS algorithm (they share the
 // numeric kernels in internal/linalg), so — exactly as the paper observes in
@@ -30,7 +30,10 @@ import (
 )
 
 // Backend is the contraction/decomposition engine interface consumed by the
-// MPS simulator.
+// MPS simulator: the gate engine calls MatMulInto and SVDTruncLazy, and
+// overlaps and the reference path (mps.Config.ReferenceKernels) call MatMul.
+// Everything else — QR/LQ canonicalisation and the reference SVD — runs the
+// linalg routines directly, identically on every backend.
 type Backend interface {
 	// Name identifies the backend in experiment output ("serial"/"parallel").
 	Name() string
@@ -40,27 +43,20 @@ type Backend interface {
 	// the zero-realloc contraction primitive of the MPS gate engine.
 	// Results are bit-identical to MatMul on every backend.
 	MatMulInto(dst, a, b *linalg.Matrix) *linalg.Matrix
-	// SVD computes a thin singular value decomposition.
-	SVD(m *linalg.Matrix) linalg.SVDResult
-	// SVDTrunc computes a thin SVD through the workspace-backed truncation
-	// path (QR-preconditioned / Gram-accelerated, see linalg.SVDTrunc).
-	// The returned factors alias ws and are valid until its next use.
-	// Results are bit-identical across backends for the same input.
-	SVDTrunc(ws *linalg.Workspace, m *linalg.Matrix) linalg.SVDResult
-	// SVDTruncLazy begins the two-phase truncation SVD: the returned handle
-	// carries the full singular spectrum (enough for the MPS truncation
-	// cut) and its Factors method materialises the thin factors for the
-	// kept rank only, skipping the re-orthonormalisation work the cut
-	// discards. Results are bit-identical across backends.
+	// SVDTruncLazy begins the two-phase truncation SVD (linalg.SVDTruncLazy):
+	// the returned handle carries the full singular spectrum (enough for the
+	// MPS truncation cut) and its Factors method materialises the thin
+	// factors for the kept rank only, skipping the re-orthonormalisation
+	// work the cut discards. Results are bit-identical across backends.
 	SVDTruncLazy(ws *linalg.Workspace, m *linalg.Matrix) linalg.TruncSVD
-	// QR computes a thin QR decomposition.
-	QR(m *linalg.Matrix) (q, r *linalg.Matrix)
 	// Stats exposes the instrumentation counters.
 	Stats() *Stats
 }
 
 // Stats counts operations and accumulated wall-clock time per primitive.
 // All fields are updated atomically; Snapshot returns a consistent copy.
+// No Backend method runs a QR, so QROps and QRNanos stay zero; they remain
+// because the benchmark's per-layer report reads them.
 type Stats struct {
 	MatMulOps   atomic.Int64
 	MatMulNanos atomic.Int64

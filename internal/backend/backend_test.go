@@ -28,47 +28,82 @@ func TestBackendsAgreeOnMatMul(t *testing.T) {
 	}
 }
 
-func TestBackendsAgreeOnSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := linalg.Random(rng, 12, 8)
-	for _, bk := range backends() {
-		res := bk.SVD(m)
-		if d := res.Reconstruct().Sub(m).FrobeniusNorm(); d > 1e-9*(1+m.FrobeniusNorm()) {
-			t.Errorf("%s SVD reconstruction error %.3g", bk.Name(), d)
+// truncSVDsAgree decomposes m on every backend through SVDTruncLazy with the
+// full-rank Factors and requires the spectrum and both factors to be
+// bit-identical to the serial backend's: the Table I claim that the backends
+// run the same algorithm and differ only in wall-clock.
+func truncSVDsAgree(t *testing.T, m *linalg.Matrix) {
+	t.Helper()
+	var want linalg.SVDResult
+	for i, bk := range backends() {
+		var ws linalg.Workspace
+		ts := bk.SVDTruncLazy(&ws, m)
+		u, v := ts.Factors(len(ts.S))
+		got := linalg.SVDResult{U: u, S: ts.S, V: v}
+		if d := got.Reconstruct().Sub(m).FrobeniusNorm(); d > 1e-9*(1+m.FrobeniusNorm()) {
+			t.Errorf("%s SVDTruncLazy reconstruction error %.3g", bk.Name(), d)
+		}
+		if i == 0 {
+			want = linalg.SVDResult{U: u.Clone(), S: append([]float64(nil), ts.S...), V: v.Clone()}
+			continue
+		}
+		for k := range want.S {
+			if got.S[k] != want.S[k] {
+				t.Fatalf("%s: S[%d] = %v, serial %v", bk.Name(), k, got.S[k], want.S[k])
+			}
+		}
+		for k := range want.U.Data {
+			if got.U.Data[k] != want.U.Data[k] {
+				t.Fatalf("%s: U entry %d differs from serial", bk.Name(), k)
+			}
+		}
+		for k := range want.V.Data {
+			if got.V.Data[k] != want.V.Data[k] {
+				t.Fatalf("%s: V entry %d differs from serial", bk.Name(), k)
+			}
 		}
 	}
 }
 
+// TestBackendsAgreeOnSVD: a near-square block takes the direct Gram stage,
+// and at 96×96 its Gram formation and A·V product cross the parallel
+// threshold, so the parallel backend's fanned-out kernels really run.
+func TestBackendsAgreeOnSVD(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	truncSVDsAgree(t, linalg.Random(rng, 12, 8))
+	truncSVDsAgree(t, linalg.Random(rng, 96, 96))
+}
+
+// TestBackendsAgreeOnQR: a block with aspect ≥ 2 is QR-preconditioned
+// inside SVDTruncLazy; at 256×64 every Householder reflector's column update
+// crosses the parallel threshold.
 func TestBackendsAgreeOnQR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := linalg.Random(rng, 10, 6)
-	for _, bk := range backends() {
-		q, r := bk.QR(m)
-		if d := linalg.MatMul(q, r).Sub(m).FrobeniusNorm(); d > 1e-9*(1+m.FrobeniusNorm()) {
-			t.Errorf("%s QR reconstruction error %.3g", bk.Name(), d)
-		}
-	}
+	truncSVDsAgree(t, linalg.Random(rng, 10, 4))
+	truncSVDsAgree(t, linalg.Random(rng, 256, 64))
 }
 
 func TestStatsCounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s := NewSerial()
 	a := linalg.Random(rng, 4, 4)
-	s.MatMul(a, a)
-	s.MatMul(a, a)
-	s.SVD(a)
-	s.QR(a)
-	snap := s.Stats().Snapshot()
-	if snap.MatMulOps != 2 || snap.SVDOps != 1 || snap.QROps != 1 {
-		t.Fatalf("counts wrong: %+v", snap)
-	}
-	if snap.TotalTime() <= 0 {
-		t.Fatal("expected nonzero accumulated time")
-	}
-	s.Stats().Reset()
-	snap = s.Stats().Snapshot()
-	if snap.MatMulOps != 0 || snap.TotalTime() != 0 {
-		t.Fatalf("Reset did not clear: %+v", snap)
+	for _, bk := range backends() {
+		var dst linalg.Matrix
+		var ws linalg.Workspace
+		bk.MatMul(a, a)
+		bk.MatMulInto(&dst, a, a)
+		bk.SVDTruncLazy(&ws, a)
+		snap := bk.Stats().Snapshot()
+		if snap.MatMulOps != 2 || snap.SVDOps != 1 || snap.QROps != 0 {
+			t.Fatalf("%s counts wrong: %+v", bk.Name(), snap)
+		}
+		if snap.TotalTime() <= 0 {
+			t.Fatalf("%s: expected nonzero accumulated time", bk.Name())
+		}
+		bk.Stats().Reset()
+		snap = bk.Stats().Snapshot()
+		if snap.MatMulOps != 0 || snap.SVDOps != 0 || snap.TotalTime() != 0 {
+			t.Fatalf("%s: Reset did not clear: %+v", bk.Name(), snap)
+		}
 	}
 }
 

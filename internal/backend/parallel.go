@@ -87,19 +87,6 @@ func (p *Parallel) MatMulInto(dst, a, b *linalg.Matrix) *linalg.Matrix {
 	return c
 }
 
-// SVDTrunc implements Backend: the workspace-backed truncation SVD with the
-// dense products (Gram formation, A·V, Householder updates) fanned over the
-// pool. linalg.SVDTrunc partitions only independent row/column blocks, so
-// the decomposition is bit-identical to the serial backend's.
-func (p *Parallel) SVDTrunc(ws *linalg.Workspace, m *linalg.Matrix) linalg.SVDResult {
-	t0 := time.Now()
-	p.dispatch()
-	r := linalg.SVDTrunc(ws, m, p.workers)
-	p.stats.SVDOps.Add(1)
-	p.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
-	return r
-}
-
 // SVDTruncLazy implements Backend: the two-phase truncation SVD with the
 // dense phase-one products fanned over the pool; one dispatch latency is
 // charged per decomposition (the deferred Factors call reuses the already
@@ -111,26 +98,6 @@ func (p *Parallel) SVDTruncLazy(ws *linalg.Workspace, m *linalg.Matrix) linalg.T
 	p.stats.SVDOps.Add(1)
 	p.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
 	return r
-}
-
-// SVD implements Backend with tournament-parallel Jacobi sweeps.
-func (p *Parallel) SVD(m *linalg.Matrix) linalg.SVDResult {
-	t0 := time.Now()
-	p.dispatch()
-	r := linalg.SVDParallel(m, p.workers)
-	p.stats.SVDOps.Add(1)
-	p.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
-	return r
-}
-
-// QR implements Backend with column-parallel Householder reflectors.
-func (p *Parallel) QR(m *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix) {
-	t0 := time.Now()
-	p.dispatch()
-	q, r := linalg.QRParallel(m, p.workers)
-	p.stats.QROps.Add(1)
-	p.stats.QRNanos.Add(time.Since(t0).Nanoseconds())
-	return q, r
 }
 
 // Stats implements Backend.

@@ -37,15 +37,6 @@ func (s *Serial) MatMulInto(dst, a, b *linalg.Matrix) *linalg.Matrix {
 	return c
 }
 
-// SVDTrunc implements Backend with the serial workspace-backed path.
-func (s *Serial) SVDTrunc(ws *linalg.Workspace, m *linalg.Matrix) linalg.SVDResult {
-	t0 := time.Now()
-	r := linalg.SVDTrunc(ws, m, 1)
-	s.stats.SVDOps.Add(1)
-	s.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
-	return r
-}
-
 // SVDTruncLazy implements Backend with the serial two-phase truncation path.
 // The timed span covers phase one (Gram + eigensolve); the deferred Factors
 // call runs on the caller's clock.
@@ -55,24 +46,6 @@ func (s *Serial) SVDTruncLazy(ws *linalg.Workspace, m *linalg.Matrix) linalg.Tru
 	s.stats.SVDOps.Add(1)
 	s.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
 	return r
-}
-
-// SVD implements Backend using serial one-sided Jacobi.
-func (s *Serial) SVD(m *linalg.Matrix) linalg.SVDResult {
-	t0 := time.Now()
-	r := linalg.SVD(m)
-	s.stats.SVDOps.Add(1)
-	s.stats.SVDNanos.Add(time.Since(t0).Nanoseconds())
-	return r
-}
-
-// QR implements Backend.
-func (s *Serial) QR(m *linalg.Matrix) (*linalg.Matrix, *linalg.Matrix) {
-	t0 := time.Now()
-	q, r := linalg.QR(m)
-	s.stats.QROps.Add(1)
-	s.stats.QRNanos.Add(time.Since(t0).Nanoseconds())
-	return q, r
 }
 
 // Stats implements Backend.

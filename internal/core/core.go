@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/conformal"
 	"repro/internal/conformal/sdt"
@@ -62,10 +61,6 @@ type Options struct {
 	// in-process channels). The kernel matrices are transport-independent;
 	// only the communication instrumentation changes.
 	Transport dist.Transport
-	// UseParallelBackend switches the MPS simulator to the
-	// accelerator-role backend (worthwhile only at large bond dimension —
-	// see the Fig. 5 crossover).
-	UseParallelBackend bool
 	// CacheBytes bounds the χ-aware simulated-state cache shared by Fit
 	// and Predict (0 selects DefaultCacheBytes; negative disables caching
 	// entirely). The budget is charged by actual MPS payload, so it adapts
@@ -213,9 +208,6 @@ func New(opts Options) (*Framework, error) {
 		return nil, fmt.Errorf("core: Alpha must lie in (0,1), got %v", opts.Alpha)
 	}
 	cfg := mps.Config{}
-	if opts.UseParallelBackend {
-		cfg.Backend = backend.NewParallel(0)
-	}
 	// Resolve the effective budget once; cacheBudget < 0 means the full
 	// memory-for-compute opt-out (no cache, no retained handles).
 	cacheBudget := opts.CacheBytes

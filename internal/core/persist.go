@@ -73,9 +73,8 @@ type modelFile struct {
 	// bandwidth knobs) are deliberately not persisted — set them through the
 	// LoadModelTuned hook. Empty in files written before the field existed,
 	// which reads as the chan default.
-	Transport          string
-	UseParallelBackend bool
-	CacheBytes         int64
+	Transport  string
+	CacheBytes int64
 	// CalibFrac / Alpha are the conformal-calibration options the model was
 	// trained under; zero on score-only models (and in every version-1
 	// file, where the fields do not exist and gob-decode to zero).
@@ -161,16 +160,15 @@ func (m *Model) Encode(w io.Writer) error {
 	mf := modelFile{
 		Features: m.opts.Features, Layers: m.opts.Layers, Distance: m.opts.Distance,
 		Gamma: m.opts.Gamma, C: m.opts.C, Procs: m.opts.Procs,
-		Strategy:           m.opts.Strategy.String(),
-		Transport:          dist.TransportName(m.opts.Transport),
-		UseParallelBackend: m.opts.UseParallelBackend,
-		CacheBytes:         m.opts.CacheBytes,
-		CalibFrac:          m.opts.CalibFrac,
-		Alpha:              m.opts.Alpha,
-		Fingerprint:        m.fingerprint,
-		SVM:                svmBlob,
-		TrainX:             m.TrainX,
-		TrainY:             m.TrainY,
+		Strategy:    m.opts.Strategy.String(),
+		Transport:   dist.TransportName(m.opts.Transport),
+		CacheBytes:  m.opts.CacheBytes,
+		CalibFrac:   m.opts.CalibFrac,
+		Alpha:       m.opts.Alpha,
+		Fingerprint: m.fingerprint,
+		SVM:         svmBlob,
+		TrainX:      m.TrainX,
+		TrainY:      m.TrainY,
 	}
 	if m.Conformal != nil {
 		mf.ConformalAlpha = m.Conformal.Alpha
@@ -260,8 +258,7 @@ func DecodeModel(r io.Reader, tune func(*Options)) (*Framework, *Model, error) {
 	opts := Options{
 		Features: mf.Features, Layers: mf.Layers, Distance: mf.Distance,
 		Gamma: mf.Gamma, C: mf.C, Procs: mf.Procs, Strategy: strategy, Transport: transport,
-		UseParallelBackend: mf.UseParallelBackend, CacheBytes: mf.CacheBytes,
-		CalibFrac: mf.CalibFrac, Alpha: mf.Alpha,
+		CacheBytes: mf.CacheBytes, CalibFrac: mf.CalibFrac, Alpha: mf.Alpha,
 	}
 	if tune != nil {
 		tune(&opts)

@@ -109,49 +109,6 @@ func Kron(a, b *linalg.Matrix) *linalg.Matrix {
 	return m
 }
 
-// OperatorSchmidtRank returns the operator-Schmidt rank of a two-qubit gate:
-// the number of terms in the decomposition G = Σ_k A_k ⊗ B_k with singular
-// value above tol. RXX has rank 2 (the paper's footnote 5 notes its two zero
-// singular values), SWAP has rank 4, and product gates have rank 1. The MPS
-// simulator exploits low rank by pre-splitting gates before application.
-func OperatorSchmidtRank(g *linalg.Matrix, tol float64) int {
-	if g.Rows != 4 || g.Cols != 4 {
-		panic("gates: OperatorSchmidtRank expects a 4×4 matrix")
-	}
-	return len(splitSingularValues(g, tol))
-}
-
-// splitSingularValues computes the singular values of the "operator
-// reshuffle" of g: G[(a,b),(c,d)] → M[(a,c),(b,d)], whose SVD yields the
-// A_k ⊗ B_k decomposition.
-func splitSingularValues(g *linalg.Matrix, tol float64) []float64 {
-	m := reshuffle(g)
-	res := linalg.SVD(m)
-	var kept []float64
-	for _, s := range res.S {
-		if s > tol {
-			kept = append(kept, s)
-		}
-	}
-	return kept
-}
-
-// reshuffle maps G[(a,b),(c,d)] to M[(a,c),(b,d)] for a 4×4 two-qubit gate,
-// where (a,b) are the output qubit indices and (c,d) the inputs.
-func reshuffle(g *linalg.Matrix) *linalg.Matrix {
-	m := linalg.NewMatrix(4, 4)
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			for c := 0; c < 2; c++ {
-				for d := 0; d < 2; d++ {
-					m.Set(a*2+c, b*2+d, g.At(a*2+b, c*2+d))
-				}
-			}
-		}
-	}
-	return m
-}
-
 // RY returns exp(−iθY/2).
 func RY(theta float64) *linalg.Matrix {
 	c := complex(math.Cos(theta/2), 0)

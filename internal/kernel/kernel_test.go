@@ -268,6 +268,34 @@ func TestValidateGramRejects(t *testing.T) {
 	}
 }
 
+// TestValidateGramRejectsNonFinite: NaN fails every </> comparison, so each
+// invariant check alone would let a non-finite entry through; the error must
+// name the offending position.
+func TestValidateGramRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		k    [][]float64
+		pos  string
+	}{
+		{"NaN off the diagonal", [][]float64{{1, nan}, {nan, 1}}, "(0,1)"},
+		{"NaN on the diagonal", [][]float64{{1, 0.5}, {0.5, nan}}, "(1,1)"},
+		{"+Inf", [][]float64{{1, 0.5, 0}, {0.5, 1, 0}, {0, inf, 1}}, "(2,1)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, psd := range []bool{false, true} {
+				err := ValidateGram(c.k, 1e-8, psd)
+				if err == nil {
+					t.Fatalf("checkPSD=%v: non-finite Gram accepted", psd)
+				}
+				if !strings.Contains(err.Error(), c.pos) {
+					t.Fatalf("checkPSD=%v: error %q does not name entry %s", psd, err, c.pos)
+				}
+			}
+		})
+	}
+}
+
 func TestMeasureConcentration(t *testing.T) {
 	k := [][]float64{{1, 0.5}, {0.5, 1}}
 	c := MeasureConcentration(k)

@@ -8,10 +8,10 @@ import (
 )
 
 // ValidateGram checks the structural invariants a quantum fidelity kernel
-// must satisfy: square shape, symmetry, entries in [0, 1+tol], unit diagonal
-// (up to truncation error), and — when checkPSD is set — positive
-// semidefiniteness of the matrix (smallest eigenvalue ≥ −tol), which is what
-// makes the SVM dual problem convex. PSD checking diagonalises the matrix,
+// must satisfy: square shape, finite entries, symmetry, entries in
+// [0, 1+tol], unit diagonal (up to truncation error), and — when checkPSD is
+// set — positive semidefiniteness of the matrix (smallest eigenvalue ≥ −tol),
+// which is what makes the SVM dual problem convex. PSD checking diagonalises the matrix,
 // so reserve it for modest sizes.
 func ValidateGram(k [][]float64, tol float64, checkPSD bool) error {
 	n := len(k)
@@ -21,6 +21,13 @@ func ValidateGram(k [][]float64, tol float64, checkPSD bool) error {
 	for i, row := range k {
 		if len(row) != n {
 			return fmt.Errorf("kernel: row %d has %d entries, want %d", i, len(row), n)
+		}
+		// NaN fails every comparison below, so non-finite entries are
+		// rejected up front.
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("kernel: entry (%d,%d)=%v is not finite", i, j, v)
+			}
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -2,9 +2,7 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
-	"sort"
 )
 
 // EigResult holds the eigendecomposition of a Hermitian matrix:
@@ -15,17 +13,24 @@ type EigResult struct {
 	Vectors *Matrix
 }
 
-// EigHermitian diagonalises a Hermitian matrix with the classical (two-sided)
-// Jacobi eigenvalue algorithm. Used to validate kernel matrices (positive
+// EigHermitian diagonalises a Hermitian matrix with the eigensolver the
+// truncation SVD uses on its Gram block (cyclic Jacobi below
+// blockedEigMinDim, Householder tridiagonalisation + implicit-shift QL at
+// or above it). Used to validate kernel matrices (positive
 // semidefiniteness) and in tests of the SVD.
 //
-// Panics if a is not square; returns an error if a is not Hermitian within
-// 1e-10 of its scale.
+// Panics if a is not square; returns an error if an entry is not finite or
+// if a is not Hermitian within 1e-10 of its scale.
 func EigHermitian(a *Matrix) (EigResult, error) {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("linalg: EigHermitian needs a square matrix, got %d×%d", a.Rows, a.Cols))
 	}
 	n := a.Rows
+	for k, v := range a.Data {
+		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+			return EigResult{}, fmt.Errorf("linalg: EigHermitian input entry (%d,%d) = %v is not finite", k/n, k%n, v)
+		}
+	}
 	scale := a.MaxAbs()
 	if scale == 0 {
 		return EigResult{Values: make([]float64, n), Vectors: Identity(n)}, nil
@@ -33,120 +38,23 @@ func EigHermitian(a *Matrix) (EigResult, error) {
 	if !a.IsHermitian(1e-10 * scale) {
 		return EigResult{}, fmt.Errorf("linalg: EigHermitian input is not Hermitian (tol %.3g)", 1e-10*scale)
 	}
-	w := a.Clone()
-	// Symmetrise exactly to stop round-off drift during rotations.
+	var ws Workspace
+	// Symmetrise exactly: the eigensolvers assume an exactly Hermitian block.
+	w := ws.gram.Reuse(n, n)
 	for i := 0; i < n; i++ {
-		w.Set(i, i, complex(real(w.At(i, i)), 0))
+		w.Data[i*n+i] = complex(real(a.Data[i*n+i]), 0)
 		for j := i + 1; j < n; j++ {
-			avg := (w.At(i, j) + cmplx.Conj(w.At(j, i))) / 2
-			w.Set(i, j, avg)
-			w.Set(j, i, cmplx.Conj(avg))
+			avg := (a.Data[i*n+j] + cmplx.Conj(a.Data[j*n+i])) / 2
+			w.Data[i*n+j] = avg
+			w.Data[j*n+i] = cmplx.Conj(avg)
 		}
 	}
-	v := Identity(n)
-
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := offDiagNorm(w)
-		if off <= 1e-28*scale*float64(n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				mag := cmplx.Abs(apq)
-				if mag <= 1e-16*scale {
-					continue
-				}
-				app := real(w.At(p, p))
-				aqq := real(w.At(q, q))
-				// Phase removal then a real Jacobi rotation, as in the SVD.
-				e := cmplx.Conj(apq) / complex(mag, 0)
-				tau := (aqq - app) / (2 * mag)
-				var t float64
-				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
-				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				applyJacobiSimilarity(w, v, p, q, complex(c, 0), complex(s, 0)*e)
-			}
-		}
-	}
-
+	vecs := gramEigSortV(&ws, n)
 	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = real(w.At(i, i))
+	for jj, src := range ws.eidx {
+		vals[jj] = ws.evals[src]
 	}
-	// Sort descending, permuting eigenvector columns to match.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return vals[idx[i]] > vals[idx[j]] })
-	sortedVals := make([]float64, n)
-	vecs := NewMatrix(n, n)
-	for jj, src := range idx {
-		sortedVals[jj] = vals[src]
-		for i := 0; i < n; i++ {
-			vecs.Data[i*n+jj] = v.Data[i*n+src]
-		}
-	}
-	return EigResult{Values: sortedVals, Vectors: vecs}, nil
-}
-
-// applyJacobiSimilarity applies the similarity transform J† W J and the
-// update V ← V·J, where J is the identity except for the (p,q) block
-// [[c, se],[−conj(se), c·e...]] — concretely the same rotation used by the
-// one-sided SVD, acting on both sides.
-func applyJacobiSimilarity(w, v *Matrix, p, q int, c, se complex128) {
-	n := w.Rows
-	// The 2×2 rotation J restricted to columns/rows (p,q):
-	// column updates: col_p' = c·col_p − se·col_q ; col_q' = conj(se)... —
-	// derive from [a_p' a_q'] = [a_p a_q]·J with
-	// J = [[c, s],[−s e^{−iφ}, c e^{−iφ}]] re-expressed via se = s·e^{−iφ}.
-	s := cmplx.Abs(se)
-	var e complex128 = 1
-	if s > 0 {
-		e = se / complex(s, 0)
-	}
-	cs := c
-	sc := complex(s, 0)
-	// Right multiply: W ← W·J (updates columns p and q).
-	for i := 0; i < n; i++ {
-		wp := w.Data[i*n+p]
-		wq := w.Data[i*n+q]
-		w.Data[i*n+p] = cs*wp - sc*e*wq
-		w.Data[i*n+q] = sc*wp + cs*e*wq
-		vp := v.Data[i*n+p]
-		vq := v.Data[i*n+q]
-		v.Data[i*n+p] = cs*vp - sc*e*vq
-		v.Data[i*n+q] = sc*vp + cs*e*vq
-	}
-	// Left multiply: W ← J†·W (updates rows p and q with conjugated factors).
-	for j := 0; j < n; j++ {
-		wp := w.Data[p*n+j]
-		wq := w.Data[q*n+j]
-		w.Data[p*n+j] = cs*wp - sc*cmplx.Conj(e)*wq
-		w.Data[q*n+j] = sc*wp + cs*cmplx.Conj(e)*wq
-	}
-}
-
-func offDiagNorm(w *Matrix) float64 {
-	n := w.Rows
-	var s float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := w.Data[i*n+j]
-			s += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
-	return math.Sqrt(s)
+	return EigResult{Values: vals, Vectors: vecs}, nil
 }
 
 // MinEigenvalueHermitian returns the smallest eigenvalue of a Hermitian

@@ -5,7 +5,7 @@ import (
 	"math/cmplx"
 )
 
-// blockedEigMinDim is the Gram-block dimension at and above which gramSVD
+// blockedEigMinDim is the block dimension at and above which gramEigSortV
 // routes the eigensolve through the blocked tridiagonal path instead of
 // cyclic Jacobi. Measured crossover on the Fig. 5 workload (χ≈59, theta
 // blocks ~120×120): tridiagonalisation + implicit-shift QL runs the O(n³)
@@ -29,17 +29,17 @@ const qlTiny = 1e-300
 // input and the caller falls back to the unconditionally convergent Jacobi.
 const qlMaxIter = 50
 
-// blockedEigPSD diagonalises the Hermitian PSD matrix held in ws.gram with
+// blockedEigHerm diagonalises the Hermitian matrix held in ws.gram with
 // the cache-blocked direct path: Householder tridiagonalisation (one O(n³)
 // reduction with unit-stride panel updates instead of Jacobi's O(n³) per
 // sweep), phase-scaling of the complex subdiagonal to a real symmetric
 // tridiagonal, and implicit-shift QL iteration with eigenvector accumulation.
-// The postcondition matches jacobiEigPSD exactly: eigenvalues on ws.gram's
+// The postcondition matches jacobiEigHerm exactly: eigenvalues on ws.gram's
 // diagonal, eigenvector j in ROW j of ws.eigV. Returns false (with ws.gram
 // restored to its input) if QL failed to converge, so the caller can fall
 // back to Jacobi; this never fires on the Gram matrices A†A the SVD path
 // builds, but keeps the engine unconditionally safe.
-func blockedEigPSD(ws *Workspace) bool {
+func blockedEigHerm(ws *Workspace) bool {
 	g := &ws.gram
 	n := g.Rows
 	if n < 2 {

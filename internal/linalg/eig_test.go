@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,31 @@ func TestEigHermitianRejectsNonHermitian(t *testing.T) {
 	a := FromSlice(2, 2, []complex128{1, 2, 3, 4})
 	if _, err := EigHermitian(a); err == nil {
 		t.Fatal("expected error for non-Hermitian input")
+	}
+}
+
+// TestEigHermitianRejectsNonFinite: a NaN or Inf entry is an error naming
+// its position, never NaN eigenvalues with a nil error.
+func TestEigHermitianRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		a    *Matrix
+		pos  string
+	}{
+		{"NaN off the diagonal", FromSlice(2, 2, []complex128{1, complex(nan, 0), complex(nan, 0), 1}), "(0,1)"},
+		{"NaN on the diagonal", FromSlice(2, 2, []complex128{1, 0, 0, complex(nan, 0)}), "(1,1)"},
+		{"imaginary +Inf", FromSlice(2, 2, []complex128{1, complex(0, inf), complex(0, -inf), 1}), "(0,1)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := EigHermitian(c.a)
+			if err == nil {
+				t.Fatal("non-finite input accepted")
+			}
+			if !strings.Contains(err.Error(), c.pos) {
+				t.Fatalf("error %q does not name entry %s", err, c.pos)
+			}
+		})
 	}
 }
 

@@ -13,37 +13,15 @@ import (
 // trapezoidal. QR underpins MPS canonicalisation (internal/mps), where site
 // tensors are repeatedly orthogonalised before SVD truncation.
 func QR(a *Matrix) (q, r *Matrix) {
-	return qrHouseholder(a, 1)
-}
-
-// QRParallel is QR with each Householder reflector's independent column
-// updates distributed over up to workers goroutines — the QR kernel of the
-// parallel (accelerator-role) backend. Small matrices fall back to the
-// serial path because per-reflector synchronisation would dominate.
-func QRParallel(a *Matrix, workers int) (q, r *Matrix) {
-	if workers < 1 {
-		workers = 1
-	}
-	return qrHouseholder(a, workers)
-}
-
-// qrHouseholder delegates to the workspace implementation (QRInto holds the
-// single copy of the reflector arithmetic); a throwaway workspace's factors
-// are freshly allocated, so the caller owns them.
-func qrHouseholder(a *Matrix, workers int) (q, r *Matrix) {
+	// QRInto holds the single copy of the reflector arithmetic; a throwaway
+	// workspace's factors are freshly allocated, so the caller owns them.
 	var ws Workspace
-	return QRInto(&ws, a, workers)
+	return QRInto(&ws, a, 1)
 }
 
 // qrParallelThreshold is the per-reflector work (rows × cols) above which
 // column updates are distributed over goroutines.
 const qrParallelThreshold = 1 << 14
-
-// applyHouseholder applies the reflector across every column, routing to the
-// serial or column-parallel path.
-func applyHouseholder(m *Matrix, v []complex128, beta float64, pivot, workers int) {
-	applyHouseholderRange(m, v, beta, pivot, 0, m.Cols, workers)
-}
 
 // applyHouseholderRange applies (I − β v v†) to rows [pivot, Rows) of columns
 // [colLo, colHi), distributing column chunks over up to workers goroutines

@@ -114,25 +114,39 @@ func BenchmarkQR64(b *testing.B) {
 	}
 }
 
+// TestQRParallelAgreesWithSerial: QRInto with its reflector updates fanned
+// over workers reproduces the serial QR bit for bit; at 200×100 and up the
+// column updates cross qrParallelThreshold, so the parallel path runs.
 func TestQRParallelAgreesWithSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, sz := range [][2]int{{8, 8}, {200, 100}, {100, 200}, {256, 256}} {
 		a := Random(rng, sz[0], sz[1])
 		q1, r1 := QR(a)
 		for _, workers := range []int{2, 8} {
-			q2, r2 := QRParallel(a, workers)
-			if !q1.EqualApprox(q2, 1e-9) || !r1.EqualApprox(r2, 1e-9) {
-				t.Fatalf("parallel QR (%d workers) differs at %v", workers, sz)
+			var ws Workspace
+			q2, r2 := QRInto(&ws, a, workers)
+			for i := range q1.Data {
+				if q1.Data[i] != q2.Data[i] {
+					t.Fatalf("parallel QR (%d workers) Q differs at %v, entry %d", workers, sz, i)
+				}
+			}
+			for i := range r1.Data {
+				if r1.Data[i] != r2.Data[i] {
+					t.Fatalf("parallel QR (%d workers) R differs at %v, entry %d", workers, sz, i)
+				}
 			}
 		}
 	}
 }
 
-func BenchmarkQRParallel256(b *testing.B) {
+func BenchmarkQRIntoParallel256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := Random(rng, 256, 256)
+	var ws Workspace
+	QRInto(&ws, a, 8)
+	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = QRParallel(a, 8)
+		_, _ = QRInto(&ws, a, 8)
 	}
 }

@@ -3,8 +3,6 @@ package linalg
 import (
 	"math"
 	"math/cmplx"
-	"sync"
-	"sync/atomic"
 )
 
 // SVDResult holds a thin singular value decomposition a = U · diag(S) · V†.
@@ -34,37 +32,24 @@ const svdMaxSweeps = 64
 // norms. The method is slower than bidiagonalisation-based SVD but is simple,
 // numerically robust and computes small singular values to high relative
 // accuracy — which matters here because MPS truncation (internal/mps) decides
-// which singular values to discard against a 1e-16 error budget.
+// which singular values to discard against a 1e-16 error budget. It is the
+// decomposition of the reference path (mps.Config.ReferenceKernels), the
+// oracle the gate engine's SVDTruncLazy is tested against.
 func SVD(a *Matrix) SVDResult {
-	return svdJacobi(a, 1)
-}
-
-// SVDParallel computes the thin SVD of a, running each Jacobi sweep as a
-// round-robin tournament of disjoint column pairs distributed over up to
-// workers goroutines. The rotation schedule differs from the serial version
-// but converges to the same decomposition (up to phases).
-func SVDParallel(a *Matrix, workers int) SVDResult {
-	if workers < 1 {
-		workers = 1
-	}
-	return svdJacobi(a, workers)
-}
-
-func svdJacobi(a *Matrix, workers int) SVDResult {
 	m, n := a.Rows, a.Cols
 	if m == 0 || n == 0 {
 		return SVDResult{U: NewMatrix(m, 0), S: nil, V: NewMatrix(n, 0)}
 	}
 	if m < n {
 		// SVD(a†) = V Σ U†  ⇒  swap the factors.
-		r := svdJacobi(a.ConjTranspose(), workers)
+		r := SVD(a.ConjTranspose())
 		return SVDResult{U: r.V, S: r.S, V: r.U}
 	}
 	// svdJacobiWS holds the single copy of the column-Jacobi machinery; a
 	// throwaway workspace's factors are freshly allocated, so the caller
 	// owns them.
 	var ws Workspace
-	return svdJacobiWS(&ws, a, workers)
+	return svdJacobiWS(&ws, a)
 }
 
 func svdSweepsSerial(cols, vcols [][]complex128) {
@@ -79,104 +64,6 @@ func svdSweepsSerial(cols, vcols [][]complex128) {
 			}
 		}
 		if !rotated {
-			return
-		}
-	}
-}
-
-// svdSweepsParallel runs block one-sided Jacobi: columns are partitioned
-// into contiguous blocks and a round-robin tournament pairs blocks; within a
-// round the block pairs touch disjoint columns, so each worker orthogonalises
-// all cross pairs of its block pair serially. This coarse decomposition pays
-// one synchronisation barrier per block round (instead of one per element
-// round), which is what makes the parallel backend actually faster than the
-// serial one at large bond dimension.
-func svdSweepsParallel(cols, vcols [][]complex128, workers int) {
-	n := len(cols)
-	// Choose block count: 2 per worker, but keep blocks ≥8 columns wide so
-	// per-task work amortises the barrier.
-	nb := 2 * workers
-	if maxNB := (n + 7) / 8; nb > maxNB {
-		nb = maxNB
-	}
-	if nb < 2 {
-		svdSweepsSerial(cols, vcols)
-		return
-	}
-	if nb%2 == 1 {
-		nb++
-	}
-	// Block boundaries.
-	bounds := make([]int, nb+1)
-	base, rem := n/nb, n%nb
-	off := 0
-	for i := 0; i < nb; i++ {
-		bounds[i] = off
-		off += base
-		if i < rem {
-			off++
-		}
-	}
-	bounds[nb] = n
-
-	order := make([]int, nb)
-	for i := range order {
-		order[i] = i
-	}
-	var wg sync.WaitGroup
-	var rotated atomic.Bool
-	for sweep := 0; sweep < svdMaxSweeps; sweep++ {
-		rotated.Store(false)
-		// Within-block pass: all blocks in parallel.
-		for b := 0; b < nb; b++ {
-			wg.Add(1)
-			go func(b int) {
-				defer wg.Done()
-				local := false
-				for p := bounds[b]; p < bounds[b+1]-1; p++ {
-					for q := p + 1; q < bounds[b+1]; q++ {
-						if rotatePair(cols, vcols, p, q) {
-							local = true
-						}
-					}
-				}
-				if local {
-					rotated.Store(true)
-				}
-			}(b)
-		}
-		wg.Wait()
-		// Tournament over blocks: nb−1 rounds of nb/2 disjoint block pairs.
-		for round := 0; round < nb-1; round++ {
-			for i := 0; i < nb/2; i++ {
-				bi, bj := order[i], order[nb-1-i]
-				wg.Add(1)
-				go func(bi, bj int) {
-					defer wg.Done()
-					local := false
-					for p := bounds[bi]; p < bounds[bi+1]; p++ {
-						for q := bounds[bj]; q < bounds[bj+1]; q++ {
-							pp, qq := p, q
-							if pp > qq {
-								pp, qq = qq, pp
-							}
-							if rotatePair(cols, vcols, pp, qq) {
-								local = true
-							}
-						}
-					}
-					if local {
-						rotated.Store(true)
-					}
-				}(bi, bj)
-			}
-			wg.Wait()
-			// Advance the tournament: fix order[0], rotate the rest.
-			last := order[nb-1]
-			copy(order[2:], order[1:nb-1])
-			order[1] = last
-		}
-		if !rotated.Load() {
 			return
 		}
 	}
@@ -273,100 +160,28 @@ func completeOrthonormal(u *Matrix, nulls []int) {
 }
 
 // jacobiFallbackDim is the largest small dimension routed to the pooled
-// one-sided Jacobi fallback of SVDTrunc; blocks this thin have at most one
-// column pair per sweep, so the Gram machinery would cost more than it saves.
+// one-sided Jacobi fallback of SVDTruncLazy; blocks this thin have at most
+// one column pair per sweep, so the Gram machinery would cost more than it
+// saves.
 const jacobiFallbackDim = 2
 
 // qrPrecondAspect is the aspect ratio (rows/cols after orienting tall)
-// beyond which SVDTrunc QR-preconditions: a single thin QR collapses a
+// beyond which SVDTruncLazy QR-preconditions: a single thin QR collapses a
 // strongly rectangular block to its small square R factor, and every later
 // stage — Gram formation, eigensolve, re-orthonormalisation — runs at the
 // small dimension.
 const qrPrecondAspect = 2
 
-// SVDTrunc computes a thin SVD through the workspace-backed truncation path
-// used by the MPS gate engine. The decomposition contract matches SVD (thin
-// factors, S descending), but the factors alias workspace storage — valid
-// only until the next workspace-backed call — and the algorithm is selected
-// by aspect ratio:
-//
-//   - min(m,n) ≤ 2: pooled-buffer one-sided Jacobi (the classic path, with
-//     the workspace's flat column storage replacing per-call slice-of-slices);
-//   - aspect ≥ qrPrecondAspect: thin QR first, then the Gram stage on the
-//     small square R, with U recovered as Q·U_R;
-//   - otherwise: the Gram stage directly — form G = A†A, Jacobi-eigensolve
-//     it for V and σ² = λ, then re-orthonormalise U through a thin QR of A·V
-//     (so U is Householder-orthonormal regardless of how small the trailing
-//     singular values are).
-//
-// The Gram stage squares the condition number, so trailing singular values
-// below ~√ε·σ_max carry absolute (not relative) accuracy — exactly the
-// regime the MPS truncation budget discards, which is why this trade is safe
-// on the gate hot path while the fully accurate SVD remains available for
-// spectrum-sensitive callers. Results are bit-identical for any workers
-// value: parallelism only splits independent row/column blocks.
-func SVDTrunc(ws *Workspace, a *Matrix, workers int) SVDResult {
-	m, n := a.Rows, a.Cols
-	if m == 0 || n == 0 {
-		return SVDResult{U: NewMatrix(m, 0), S: nil, V: NewMatrix(n, 0)}
-	}
-	if m < n {
-		// SVD(a†) = V Σ U†  ⇒  swap the factors.
-		conjTransposeInto(&ws.adj, a)
-		r := svdTruncTall(ws, &ws.adj, workers)
-		return SVDResult{U: r.V, S: r.S, V: r.U}
-	}
-	return svdTruncTall(ws, a, workers)
-}
-
-// svdTruncTall handles the m ≥ n orientation of SVDTrunc.
-func svdTruncTall(ws *Workspace, a *Matrix, workers int) SVDResult {
-	m, n := a.Rows, a.Cols
-	if n <= jacobiFallbackDim {
-		return svdJacobiWS(ws, a, 1)
-	}
-	if m >= qrPrecondAspect*n {
-		// Precondition: a = Q1·R1, then SVD the n×n R1 and lift U.
-		q1, r1 := QRInto(ws, a, workers)
-		ws.precQ.Reuse(q1.Rows, q1.Cols)
-		copy(ws.precQ.Data, q1.Data)
-		res := gramSVD(ws, r1, workers)
-		// Final U = Q1 · U_R; bmat is free again after the Gram stage.
-		u := mulIntoWorkers(&ws.bmat, &ws.precQ, res.U, workers)
-		return SVDResult{U: u, S: res.S, V: res.V}
-	}
-	return gramSVD(ws, a, workers)
-}
-
-// gramSVD is the core Gram-accelerated stage for m ≥ n: eigendecompose
-// G = A†A for V and σ, then recover an exactly-orthonormal U from a thin QR
-// of B = A·V (B's columns are orthogonal with norms σ by construction, so R
-// is diagonal up to the eigensolve tolerance; the diagonal phases transfer
-// onto Q's columns). The singular values are read off R's diagonal rather
-// than as √λ: the Gram eigenvalues carry only ~√ε·σ_max absolute accuracy
-// (squaring loses the bottom half of the spectrum), which would inflate the
-// trailing values to noise the MPS truncation budget can no longer discard —
-// whereas R's diagonal is computed from A's columns directly and recovers
-// ~ε·σ_max absolute accuracy, keeping the discarded-weight arithmetic at
-// full precision. Implemented as the two-phase path run eagerly at full
-// rank; SVDTruncLazy exposes the phases separately to the gate engine.
-func gramSVD(ws *Workspace, a *Matrix, workers int) SVDResult {
-	t := TruncSVD{ws: ws, workers: workers}
-	t.gramPhase1(a)
-	u, v := t.Factors(a.Cols)
-	return SVDResult{U: u, S: t.S, V: v}
-}
-
-// jacobiEigPSD diagonalises the Hermitian PSD matrix held in ws.gram in
-// place with two-sided Jacobi rotations, accumulating eigenvectors into
-// ws.eigV with eigenvector j stored in ROW j (so every update streams
-// contiguously). Unlike EigHermitian it assumes hermiticity (the caller
-// builds A†A) and exploits it per rotation: only rows p and q are rotated
-// (contiguous), the 2×2 pivot block is set from the closed forms, and
-// columns p and q are restored as conjugate mirrors of the fresh rows —
-// roughly a third fewer flops than the generic similarity update and no
-// strided arithmetic. Stops as soon as a sweep applies no rotation.
-func jacobiEigPSD(ws *Workspace) {
+// jacobiEigHerm diagonalises the Hermitian matrix held in ws.gram in place
+// with two-sided Jacobi rotations, accumulating eigenvectors into ws.eigV
+// with eigenvector j stored in ROW j (so every update streams contiguously).
+// It assumes exact hermiticity (the caller builds A†A, or EigHermitian
+// symmetrises its input) and exploits it per rotation: only rows p and q
+// are rotated (contiguous), the 2×2 pivot block is set from the closed
+// forms, and columns p and q are restored as conjugate mirrors of the fresh
+// rows — roughly a third fewer flops than a generic two-sided similarity
+// update and no strided arithmetic. Stops as soon as a sweep applies no rotation.
+func jacobiEigHerm(ws *Workspace) {
 	g := &ws.gram
 	n := g.Rows
 	vt := ws.eigV.Reuse(n, n)
@@ -464,16 +279,11 @@ func insertionSortDesc(vals []float64, idx []int) {
 	}
 }
 
-// svdJacobiWS is the one-sided Jacobi core (the only copy — SVD/SVDParallel
-// delegate here through a throwaway workspace): column storage, V
-// accumulation and outputs all live in grow-only workspace buffers, which is
-// what lets SVDTrunc's small-block fallback run allocation-free. Requires
-// m ≥ n. With workers > 1 and enough columns, sweeps run the tournament-
-// parallel schedule (numerically different rotations, same decomposition) —
-// SVDTrunc's fallback only reaches this with n ≤ jacobiFallbackDim < 4,
-// which always takes the serial schedule, preserving its any-worker-count
-// bit-identity.
-func svdJacobiWS(ws *Workspace, a *Matrix, workers int) SVDResult {
+// svdJacobiWS is the one-sided Jacobi core (the only copy — SVD delegates
+// here through a throwaway workspace): column storage, V accumulation and
+// outputs all live in grow-only workspace buffers, which is what lets
+// SVDTruncLazy's small-block fallback run allocation-free. Requires m ≥ n.
+func svdJacobiWS(ws *Workspace, a *Matrix) SVDResult {
 	m, n := a.Rows, a.Cols
 	colsFlat := growC(&ws.colsFlat, m*n)
 	vcolsFlat := growC(&ws.vcolsFlat, n*n)
@@ -494,11 +304,7 @@ func svdJacobiWS(ws *Workspace, a *Matrix, workers int) SVDResult {
 		}
 		vcols[j][j] = 1
 	}
-	if workers == 1 || n < 4 {
-		svdSweepsSerial(cols, vcols)
-	} else {
-		svdSweepsParallel(cols, vcols, workers)
-	}
+	svdSweepsSerial(cols, vcols)
 
 	vals := growF(&ws.evals, n)
 	idx := growI(&ws.eidx, n)

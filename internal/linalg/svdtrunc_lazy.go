@@ -9,10 +9,9 @@ import "math/cmplx"
 // only, so the Householder Q build runs on an m×keep panel (replaying only
 // the first keep reflectors) instead of m×n. At a saturated bond dimension
 // the cut keeps half the spectrum (keep = χ out of n = 2χ), which makes the
-// deferred build several times cheaper than the eager one. Every value produced is
-// bit-identical to the eager SVDTrunc path: the spectrum comes from the same
-// full QR factor stage, and the kept Q panel is exactly the leading block of
-// the full thin Q.
+// deferred build several times cheaper than an eager full-rank one.
+// Factors(len(S)) yields the complete thin SVD: the kept Q panel is exactly
+// the leading block of the full thin Q.
 type TruncSVD struct {
 	// S holds all min(m, n) singular values in descending order, read off
 	// the QR factor stage's diagonal — NOT off raw column norms of B = A·V:
@@ -32,13 +31,28 @@ type TruncSVD struct {
 	eager    SVDResult
 }
 
-// SVDTruncLazy begins the two-phase truncation SVD of a. It follows exactly
-// the same aspect-ratio dispatch as SVDTrunc (small-block Jacobi, QR
-// preconditioning, Gram stage), but stops after the QR factor stage of the
-// Gram path: the returned handle exposes the full spectrum for the caller's
-// truncation decision, and Factors finishes the factor materialisation at
-// the kept rank only. All returned storage aliases ws and is valid until its
-// next workspace-backed call.
+// SVDTruncLazy begins the two-phase truncation SVD of a, the decomposition
+// of the MPS gate engine. The decomposition contract matches SVD (thin
+// factors, S descending) once Factors(len(S)) has run, but the factors alias
+// workspace storage — valid only until the workspace's next use — and the
+// algorithm is selected by aspect ratio (wide inputs are decomposed through
+// their adjoint, with the factor roles swapped back by Factors):
+//
+//   - min(m,n) ≤ 2: pooled-buffer one-sided Jacobi, computed eagerly;
+//   - aspect ≥ qrPrecondAspect: thin QR first, then the Gram stage on the
+//     small square R, with U recovered as Q·U_R;
+//   - otherwise: the Gram stage directly — form G = A†A, eigensolve it for
+//     V, then run the QR factor stage of A·V, whose R diagonal is the
+//     spectrum (see gramPhase1) and whose reflectors Factors replays to
+//     build U (so U is Householder-orthonormal regardless of how small the
+//     trailing singular values are).
+//
+// The Gram stage squares the condition number, so trailing singular values
+// below ~√ε·σ_max carry absolute (not relative) accuracy — exactly the
+// regime the MPS truncation budget discards, which is why this trade is safe
+// on the gate hot path while the fully accurate SVD remains available for
+// spectrum-sensitive callers. Results are bit-identical for any workers
+// value: parallelism only splits independent row/column blocks.
 func SVDTruncLazy(ws *Workspace, a *Matrix, workers int) TruncSVD {
 	t := TruncSVD{ws: ws, workers: workers}
 	m, n := a.Rows, a.Cols
@@ -57,7 +71,7 @@ func SVDTruncLazy(ws *Workspace, a *Matrix, workers int) TruncSVD {
 	}
 	if n <= jacobiFallbackDim {
 		t.hasEager = true
-		t.eager = svdJacobiWS(ws, ta, 1)
+		t.eager = svdJacobiWS(ws, ta)
 		t.S = t.eager.S
 		return t
 	}
@@ -76,10 +90,17 @@ func SVDTruncLazy(ws *Workspace, a *Matrix, workers int) TruncSVD {
 
 // gramPhase1 runs all but the Q build of the Gram-accelerated SVD for the
 // tall (m ≥ n) operand: form G = A†A with the Hermitian fill, eigensolve for
-// V, build B = A·V, and run the QR factor stage on B — R's diagonal is the
-// full spectrum at ~ε·σ_max absolute accuracy (see gramSVD for why √λ would
-// not do), and the parked Householder reflectors let Factors assemble the
-// kept U panel later. r1 (when preconditioned) is fully consumed here.
+// V, build B = A·V, and run the QR factor stage on B. B's columns are
+// orthogonal with norms σ by construction, so R is diagonal up to the
+// eigensolve tolerance and the parked Householder reflectors let Factors
+// assemble the kept U panel later. The singular values are read off R's
+// diagonal rather than as √λ: the Gram eigenvalues carry only ~√ε·σ_max
+// absolute accuracy (squaring loses the bottom half of the spectrum), which
+// would inflate the trailing values to noise the MPS truncation budget can
+// no longer discard — whereas R's diagonal is computed from A's columns
+// directly and recovers ~ε·σ_max absolute accuracy, keeping the
+// discarded-weight arithmetic at full precision. r1 (when preconditioned)
+// is fully consumed here.
 func (t *TruncSVD) gramPhase1(a *Matrix) {
 	ws := t.ws
 	n := a.Cols
@@ -141,13 +162,15 @@ func (t *TruncSVD) Factors(keep int) (u, v *Matrix) {
 	return u, v
 }
 
-// gramEigSortV eigensolves the Hermitian Gram block in ws.gram (blocked
-// tridiagonal+QL past the crossover, Jacobi below it or on non-convergence)
-// and sorts the eigenpairs descending into ws.vmat's columns (the
-// accumulator holds eigenvector j in row j, so this transposes as it sorts).
+// gramEigSortV eigensolves the Hermitian block in ws.gram (the Gram matrix
+// of the truncation SVD, or EigHermitian's symmetrised input): blocked
+// tridiagonal+QL past the crossover, Jacobi below it or on non-convergence.
+// It sorts the eigenpairs descending into ws.vmat's columns (the accumulator
+// holds eigenvector j in row j, so this transposes as it sorts); ws.evals
+// keeps the unsorted eigenvalues and ws.eidx the descending order.
 func gramEigSortV(ws *Workspace, n int) *Matrix {
-	if n < blockedEigMinDim || !blockedEigPSD(ws) {
-		jacobiEigPSD(ws)
+	if n < blockedEigMinDim || !blockedEigHerm(ws) {
+		jacobiEigHerm(ws)
 	}
 	vals := growF(&ws.evals, n)
 	idx := growI(&ws.eidx, n)

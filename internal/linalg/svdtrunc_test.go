@@ -39,6 +39,15 @@ func checkThinSVD(t *testing.T, a *Matrix, r SVDResult, tol float64) {
 	}
 }
 
+// svdTrunc is the truncation SVD run eagerly at full rank: SVDTruncLazy's
+// phase one followed by Factors(len(S)), which is the complete thin
+// decomposition. The factors alias ws.
+func svdTrunc(ws *Workspace, a *Matrix, workers int) SVDResult {
+	t := SVDTruncLazy(ws, a, workers)
+	u, v := t.Factors(len(t.S))
+	return SVDResult{U: u, S: t.S, V: v}
+}
+
 // TestSVDTruncShapes runs the full contract over every path the aspect-ratio
 // selector can take — tiny Jacobi-fallback blocks, near-square Gram blocks,
 // strongly rectangular QR-preconditioned blocks, both orientations — with
@@ -56,7 +65,7 @@ func TestSVDTruncShapes(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			a := Random(rng, sh[0], sh[1])
 			scale := a.MaxAbs()
-			r := SVDTrunc(&ws, a, 1)
+			r := svdTrunc(&ws, a, 1)
 			checkThinSVD(t, a, r, 1e-9*scale)
 			// The spectrum must agree with the reference Jacobi SVD.
 			ref := SVD(a)
@@ -77,8 +86,8 @@ func TestSVDTruncWorkersBitIdentical(t *testing.T) {
 	for _, sh := range [][2]int{{48, 48}, {96, 24}, {24, 96}} {
 		a := Random(rng, sh[0], sh[1])
 		var ws1, ws4 Workspace
-		r1 := SVDTrunc(&ws1, a, 1)
-		r4 := SVDTrunc(&ws4, a, 4)
+		r1 := svdTrunc(&ws1, a, 1)
+		r4 := svdTrunc(&ws4, a, 4)
 		for i := range r1.S {
 			if r1.S[i] != r4.S[i] {
 				t.Fatalf("S[%d] differs across worker counts: %v vs %v", i, r1.S[i], r4.S[i])
@@ -122,7 +131,7 @@ func TestSVDTruncTinyTailAccuracy(t *testing.T) {
 		}
 	}
 	var ws Workspace
-	r := SVDTrunc(&ws, a, 1)
+	r := svdTrunc(&ws, a, 1)
 	// Values comfortably above the √ε·σ_max Gram noise floor keep relative
 	// accuracy (those at the floor itself carry O(1) relative error — the
 	// documented trade); tail values must stay at or below ~ε·σ_max in
@@ -150,7 +159,7 @@ func TestSVDTruncRankDeficientAndZero(t *testing.T) {
 	b := Random(rng, 10, 2)
 	c := Random(rng, 2, 6)
 	a := MatMul(b, c)
-	r := SVDTrunc(&ws, a, 1)
+	r := svdTrunc(&ws, a, 1)
 	checkThinSVD(t, a, r, 1e-9*a.MaxAbs())
 	for i := 2; i < len(r.S); i++ {
 		if r.S[i] > 1e-10*r.S[0] {
@@ -158,7 +167,7 @@ func TestSVDTruncRankDeficientAndZero(t *testing.T) {
 		}
 	}
 	z := NewMatrix(7, 4)
-	rz := SVDTrunc(&ws, z, 1)
+	rz := svdTrunc(&ws, z, 1)
 	if !rz.U.IsUnitary(1e-12) || !rz.V.IsUnitary(1e-12) {
 		t.Fatal("zero matrix must still yield orthonormal factors")
 	}
@@ -181,12 +190,12 @@ func TestSVDTruncZeroAllocWarm(t *testing.T) {
 		Random(rng, 2, 9),   // Jacobi fallback (adjoint orientation)
 	}
 	for _, a := range mats {
-		SVDTrunc(&ws, a, 1) // warm the buffers for this shape
+		svdTrunc(&ws, a, 1) // warm the buffers for this shape
 		allocs := testing.AllocsPerRun(20, func() {
-			SVDTrunc(&ws, a, 1)
+			svdTrunc(&ws, a, 1)
 		})
 		if allocs != 0 {
-			t.Fatalf("%d×%d: warm SVDTrunc performed %v allocations, want 0", a.Rows, a.Cols, allocs)
+			t.Fatalf("%d×%d: warm svdTrunc performed %v allocations, want 0", a.Rows, a.Cols, allocs)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Workspace owns every scratch buffer the workspace-backed decomposition
-// kernels (QRInto, LQInto, SVDTrunc) need: the in-progress R of a Householder
+// kernels (QRInto, LQInto, SVDTruncLazy) need: the in-progress R of a Householder
 // QR, the flat Householder-vector storage, the Gram matrix and eigenvector
 // accumulator of the Gram-accelerated SVD, and the pooled column storage of
 // the small-block Jacobi fallback. All buffers are grow-only: a workspace
@@ -34,7 +34,7 @@ type Workspace struct {
 	lqQ Matrix
 
 	// Gram-accelerated SVD scratch.
-	gram  Matrix // G = A†A, eigensolved in place
+	gram  Matrix // G = A†A (or EigHermitian's input), eigensolved in place
 	eigV  Matrix // eigenvector accumulator
 	vmat  Matrix // V output (eigenvectors sorted by descending eigenvalue)
 	bmat  Matrix // B = A·V; doubles as the final-U buffer on the QR-preconditioned path
@@ -44,8 +44,8 @@ type Workspace struct {
 	evals []float64
 	eidx  []int
 
-	// Pooled column storage for the small-block one-sided Jacobi fallback
-	// (replaces svdJacobi's per-call slice-of-slices).
+	// Pooled column storage of the one-sided Jacobi core (the small-block
+	// fallback, and SVD through a throwaway workspace).
 	colsFlat  []complex128
 	vcolsFlat []complex128
 	cols      [][]complex128

@@ -350,7 +350,7 @@ func (m *MPS) apply2(g *linalg.Matrix, q int) {
 	l := theta.Shape[0]
 	r := theta.Shape[3]
 	mat := theta.Matricize(0, 1) // (l·2, 2·r)
-	res := m.cfg.Backend.SVD(mat)
+	res := linalg.SVD(mat)
 
 	keep, discarded := m.truncationCut(res.S)
 	tr, _ := res.Truncate(keep)

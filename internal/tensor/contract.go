@@ -64,24 +64,6 @@ func ContractWith(a, b *Tensor, axesA, axesB []int, mul MatMulFunc) *Tensor {
 	return FromData(mc.Data, outShape...)
 }
 
-// InnerFull contracts every bond of a against the matching bond of b
-// (conjugating a), returning ⟨a, b⟩ = Σ conj(a_i)·b_i. Shapes must match.
-func InnerFull(a, b *Tensor) complex128 {
-	if a.Rank() != b.Rank() {
-		panic("tensor: InnerFull rank mismatch")
-	}
-	for i := range a.Shape {
-		if a.Shape[i] != b.Shape[i] {
-			panic(fmt.Sprintf("tensor: InnerFull shape mismatch %v vs %v", a.Shape, b.Shape))
-		}
-	}
-	var s complex128
-	for i, v := range a.Data {
-		s += complex(real(v), -imag(v)) * b.Data[i]
-	}
-	return s
-}
-
 func dimAt(t *Tensor, ax int) int {
 	if ax < 0 || ax >= t.Rank() {
 		panic(fmt.Sprintf("tensor: contraction axis %d out of range for rank %d", ax, t.Rank()))

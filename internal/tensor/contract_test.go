@@ -115,24 +115,6 @@ func TestContractAxisListMismatchPanics(t *testing.T) {
 	Contract(New(2, 3), New(3, 2), []int{1, 0}, []int{0})
 }
 
-func TestInnerFull(t *testing.T) {
-	a := FromData([]complex128{1i, 2}, 2)
-	b := FromData([]complex128{1i, 2}, 2)
-	got := InnerFull(a, b)
-	if cmplx.Abs(got-5) > 1e-12 {
-		t.Fatalf("InnerFull = %v, want 5", got)
-	}
-}
-
-func TestInnerFullShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	InnerFull(New(2), New(3))
-}
-
 // Property: contraction is bilinear — Contract(αa, b) == α·Contract(a, b).
 func TestPropertyContractLinear(t *testing.T) {
 	f := func(seed int64) bool {
@@ -149,37 +131,18 @@ func TestPropertyContractLinear(t *testing.T) {
 	}
 }
 
-// Property: ⟨a, a⟩ equals ‖a‖² and is real non-negative.
+// Property: ⟨a, a⟩ — conj(a) contracted with a over every axis — equals
+// ‖a‖² and is real non-negative.
 func TestPropertyInnerSelfNorm(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomTensor(rng, 1+rng.Intn(4), 1+rng.Intn(4))
-		ip := InnerFull(a, a)
+		ip := Contract(a.Conj(), a, []int{0, 1}, []int{0, 1}).Data[0]
 		n := a.Norm()
 		return math.Abs(imag(ip)) < 1e-10 && math.Abs(real(ip)-n*n) < 1e-9*(1+n*n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecomposeReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tt := randomTensor(rng, 3, 2, 4)
-	u, s, vh := Decompose(tt, []int{0, 1}, linalg.SVD)
-	// u: (3,2,k), vh: (k,4). Rebuild and compare.
-	k := len(s)
-	us := u.Clone()
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 2; b++ {
-			for i := 0; i < k; i++ {
-				us.Set(us.At(a, b, i)*complex(s[i], 0), a, b, i)
-			}
-		}
-	}
-	rec := Contract(us, vh, []int{2}, []int{0})
-	if !rec.EqualApprox(tt, 1e-9) {
-		t.Fatal("Decompose does not reconstruct")
 	}
 }
 

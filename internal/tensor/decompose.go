@@ -4,85 +4,33 @@ import (
 	"repro/internal/linalg"
 )
 
-// SVDFunc is the pluggable decomposition kernel used by Decompose; the
-// backend package supplies serial and parallel versions.
-type SVDFunc func(m *linalg.Matrix) linalg.SVDResult
-
-// Decompose matricizes t with the given row axes, runs an SVD, and returns
-// the factors reshaped back into tensors:
-//
-//	t ≈ U · diag(S) · V†
-//
-// where U has shape (rowAxes dims..., k) and V† has shape (k, colAxes
-// dims...), with k = min(rows, cols). This is the primitive behind two-qubit
-// gate application in the MPS simulator (Fig. 1b of the paper).
-func Decompose(t *Tensor, rowAxes []int, svd SVDFunc) (u *Tensor, s []float64, vh *Tensor) {
-	m := t.Matricize(rowAxes...)
-	res := svd(m)
-	k := len(res.S)
-
-	rowShape := make([]int, 0, len(rowAxes)+1)
-	for _, ax := range rowAxes {
-		rowShape = append(rowShape, t.Shape[ax])
-	}
-	rowShape = append(rowShape, k)
-
-	colShape := []int{k}
-	isRow := make(map[int]bool, len(rowAxes))
-	for _, ax := range rowAxes {
-		isRow[ax] = true
-	}
-	for ax := 0; ax < t.Rank(); ax++ {
-		if !isRow[ax] {
-			colShape = append(colShape, t.Shape[ax])
-		}
-	}
-
-	u = FromData(res.U.Data, rowShape...)
-	vh = FromData(res.V.ConjTranspose().Data, colShape...)
-	return u, res.S, vh
-}
-
 // QRDecompose matricizes t with the given row axes and returns Q, R tensors
 // such that t = Q·R with Q an isometry. Used for MPS canonicalisation.
 func QRDecompose(t *Tensor, rowAxes []int) (q, r *Tensor) {
-	m := t.Matricize(rowAxes...)
-	qm, rm := linalg.QR(m)
-
-	k := qm.Cols
-	rowShape := make([]int, 0, len(rowAxes)+1)
-	for _, ax := range rowAxes {
-		rowShape = append(rowShape, t.Shape[ax])
-	}
-	rowShape = append(rowShape, k)
-
-	colShape := []int{k}
-	isRow := make(map[int]bool, len(rowAxes))
-	for _, ax := range rowAxes {
-		isRow[ax] = true
-	}
-	for ax := 0; ax < t.Rank(); ax++ {
-		if !isRow[ax] {
-			colShape = append(colShape, t.Shape[ax])
-		}
-	}
+	qm, rm := linalg.QR(t.Matricize(rowAxes...))
+	rowShape, colShape := factorShapes(t, rowAxes, qm.Cols)
 	return FromData(qm.Data, rowShape...), FromData(rm.Data, colShape...)
 }
 
 // LQDecompose matricizes t and returns L, Q tensors such that t = L·Q with
 // Q having orthonormal rows. Used for right-canonicalisation.
 func LQDecompose(t *Tensor, rowAxes []int) (l, q *Tensor) {
-	m := t.Matricize(rowAxes...)
-	lm, qm := linalg.LQ(m)
+	lm, qm := linalg.LQ(t.Matricize(rowAxes...))
+	rowShape, colShape := factorShapes(t, rowAxes, lm.Cols)
+	return FromData(lm.Data, rowShape...), FromData(qm.Data, colShape...)
+}
 
-	k := lm.Cols
-	rowShape := make([]int, 0, len(rowAxes)+1)
+// factorShapes returns the tensor shapes of the two factors of t matricized
+// with the given row axes and split at inner dimension k: (rowAxes dims...,
+// k) and (k, remaining axes' dims...).
+func factorShapes(t *Tensor, rowAxes []int, k int) (rowShape, colShape []int) {
+	rowShape = make([]int, 0, len(rowAxes)+1)
 	for _, ax := range rowAxes {
 		rowShape = append(rowShape, t.Shape[ax])
 	}
 	rowShape = append(rowShape, k)
 
-	colShape := []int{k}
+	colShape = []int{k}
 	isRow := make(map[int]bool, len(rowAxes))
 	for _, ax := range rowAxes {
 		isRow[ax] = true
@@ -92,5 +40,5 @@ func LQDecompose(t *Tensor, rowAxes []int) (l, q *Tensor) {
 			colShape = append(colShape, t.Shape[ax])
 		}
 	}
-	return FromData(lm.Data, rowShape...), FromData(qm.Data, colShape...)
+	return rowShape, colShape
 }
