@@ -1,23 +1,10 @@
+# Build, test and smoke targets. Performance is measured by bench/ alone
+# (bench/README.md): `bash bench/run.sh` runs the suite, and `bash bench/run.sh
+# -compare a.json b.json` gives the verdict between two runs on one host.
+# Package micro-benchmarks run with `go test -run '^$' -bench . ./internal/<pkg>`.
 GO      ?= go
-DATE    := $(shell date +%Y-%m-%d)
-BENCH_OUT := BENCH_$(DATE).json
 
-# The 1-iteration smoke subset: the distributed-Gram benchmarks this repo's
-# perf trajectory tracks, plus one simulator bench, one solver bench, the
-# cache/overlap-engine benches added with the state cache, the micro-batched
-# serving path (ns/op per coalesced row), the transport ablation
-# (chan vs. sim vs. tcp-loopback wires under the same round-robin Gram), the
-# fused gate-engine bench (serial + parallel backends), and the blocked
-# tridiagonal eigensolver behind SVDTruncLazy.
-SMOKE_BENCHES := BenchmarkFig8RuntimeBreakdown|BenchmarkAblationDistStrategies|BenchmarkFig5SimulationSerial|BenchmarkSVMTrain|BenchmarkFitPredictRoundTrip|BenchmarkGramFromStates|BenchmarkServeBatch|BenchmarkGramTransport|BenchmarkApplyCircuit|BenchmarkBlockedEig
-
-# The committed perf baseline: the newest BENCH_<date>.json tracked by git.
-# bench-check reads the blob from HEAD (not the working tree), so a fresh
-# `make bench-smoke` that overwrites the same-day baseline file on disk
-# cannot make the gate compare a run against itself.
-BASELINE := $(shell git ls-files 'BENCH_*.json' | sort | tail -1)
-
-.PHONY: all build vet fmt-check test race loc bench-smoke bench-check serve-smoke load-smoke obs-smoke calib-smoke ci clean
+.PHONY: all build vet fmt-check test race loc serve-smoke load-smoke obs-smoke calib-smoke ci
 
 all: build
 
@@ -57,28 +44,9 @@ loc:
 	done
 	@printf '%6d total\n' $$($(LOC_FILES) -exec cat {} + | wc -l)
 
-# Everything CI enforces, runnable locally in one shot.
-ci: build vet fmt-check test race
-
-# bench-smoke runs each tracked benchmark for exactly one iteration and
-# writes the go-test JSON event stream (machine-readable: one JSON object
-# per line, benchmark metrics inside the Output events) to BENCH_<date>.json.
-bench-smoke:
-	$(GO) test -run '^$$' -bench '$(SMOKE_BENCHES)' -benchtime 1x -json . > $(BENCH_OUT)
-	@grep -q 'ns/op' $(BENCH_OUT) || { echo "no benchmark results captured" >&2; exit 1; }
-	@echo "wrote $(BENCH_OUT)"
-
-# bench-check is the CI regression gate: rerun the tracked benches (3
-# iterations to tame smoke-level noise) into an uncommitted scratch file and
-# fail on >20% ns/op regressions against the committed baseline. Benches
-# under 1ms are reported but not gated — at smoke iteration counts their
-# noise exceeds any threshold worth enforcing.
-bench-check:
-	@test -n "$(BASELINE)" || { echo "bench-check: no committed BENCH_*.json baseline — run 'make bench-smoke' and commit the BENCH_<date>.json it writes" >&2; exit 1; }
-	@git cat-file -e HEAD:$(BASELINE) 2>/dev/null || { echo "bench-check: $(BASELINE) is tracked but not committed on HEAD — commit it before gating" >&2; exit 1; }
-	git show HEAD:$(BASELINE) > bench_baseline.json
-	$(GO) test -run '^$$' -bench '$(SMOKE_BENCHES)' -benchtime 3x -json . > bench_current.json
-	$(GO) run ./cmd/benchdiff -baseline bench_baseline.json -current bench_current.json -threshold 0.20
+# Everything CI enforces, runnable locally in one shot: the steps of
+# .github/workflows/ci.yml's build, test and race jobs, in order.
+ci: build vet fmt-check test serve-smoke load-smoke obs-smoke calib-smoke race
 
 # serve-smoke is the end-to-end serving check: train a tiny model, start
 # `qkernel serve` on a free port, POST one prediction and assert HTTP 200
@@ -107,6 +75,3 @@ calib-smoke:
 # histogram families, and the pprof side port returns a CPU profile.
 obs-smoke:
 	sh scripts/obs_smoke.sh
-
-clean:
-	rm -f BENCH_*.json bench_current.json bench_baseline.json

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -325,5 +326,30 @@ func TestKernelConcentrationWithDepth(t *testing.T) {
 	cs, cd := MeasureConcentration(ks), MeasureConcentration(kd)
 	if cd.Mean >= cs.Mean {
 		t.Fatalf("deep kernel mean %v should drop below shallow %v", cd.Mean, cs.Mean)
+	}
+}
+
+// BenchmarkGramFromStates isolates the O(N²) overlap stage: states are
+// simulated once outside the timer, so ns/op and allocs/op measure the
+// row-band scheduler and the per-worker zero-realloc workspaces alone.
+func BenchmarkGramFromStates(b *testing.B) {
+	full := dataset.GenerateElliptic(dataset.EllipticConfig{Features: 16, NumIllicit: 32, NumLicit: 32, Seed: 1})
+	sc, err := dataset.FitScaler(full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scaled, err := sc.Transform(full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := &Quantum{Ansatz: circuit.Ansatz{Qubits: 16, Layers: 2, Distance: 2, Gamma: 0.5}}
+	states, err := q.States(scaled.X[:32])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = GramFromStates(states, runtime.GOMAXPROCS(0))
 	}
 }

@@ -3,6 +3,7 @@ package mps_test
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/dataset"
 	"repro/internal/kernel"
@@ -76,4 +77,72 @@ func BenchmarkWorkspaceInner(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/overlap")
 		})
 	}
+}
+
+// applyCircuitWorkload is one routed feature-map circuit at 24 qubits, d=3,
+// γ=1 (χ 61) on a scaled synthetic Elliptic row.
+func applyCircuitWorkload(tb testing.TB) (int, *circuit.Circuit) {
+	tb.Helper()
+	a := circuit.Ansatz{Qubits: 24, Layers: 2, Distance: 3, Gamma: 1.0}
+	full := dataset.GenerateElliptic(dataset.EllipticConfig{Features: a.Qubits, NumIllicit: 32, NumLicit: 32, Seed: 1})
+	sc, err := dataset.FitScaler(full)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	scaled, err := sc.Transform(full)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := a.BuildRouted(scaled.X[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a.Qubits, c
+}
+
+// applyCircuit materialises c on a fresh state through the shared ws, the
+// way the kernel's worker loops reuse one workspace across rows.
+func applyCircuit(tb testing.TB, n int, c *circuit.Circuit, be backend.Backend, ws *mps.SimWorkspace) *mps.MPS {
+	tb.Helper()
+	st := mps.NewZeroState(n, mps.Config{Backend: be})
+	st.AttachWorkspace(ws)
+	if err := st.ApplyCircuit(c); err != nil {
+		tb.Fatal(err)
+	}
+	st.DetachWorkspace()
+	return st
+}
+
+// TestApplyCircuitAllocs bounds the allocations of one full circuit
+// application with a warm workspace at the count the engine makes today
+// (372 on this circuit): site buffers are per-state, so a handful of
+// allocations per site remain, and growth past the bound is a regression of
+// the zero-realloc engine.
+func TestApplyCircuitAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 24-qubit circuit takes ~20 s under -race, and the count it checks has no concurrency")
+	}
+	n, c := applyCircuitWorkload(t)
+	be, ws := backend.NewSerial(), mps.NewSimWorkspace()
+	// AllocsPerRun's own warm-up call grows the workspace.
+	if allocs := testing.AllocsPerRun(2, func() { applyCircuit(t, n, c, be, ws) }); allocs > 372 {
+		t.Fatalf("ApplyCircuit with a warm workspace made %v allocations, want ≤ 372", allocs)
+	}
+}
+
+// BenchmarkApplyCircuit isolates the gate-application hot path of the fused
+// engine: one routed feature-map circuit applied to a fresh state, with the
+// simulation workspace reused across iterations. ns/op is the cost of a full
+// state materialisation minus circuit construction; allocs/op measures how
+// close the engine runs to its zero-realloc steady state.
+func BenchmarkApplyCircuit(b *testing.B) {
+	n, c := applyCircuitWorkload(b)
+	be, ws := backend.NewSerial(), mps.NewSimWorkspace()
+	b.ResetTimer()
+	b.ReportAllocs()
+	var chi int
+	for i := 0; i < b.N; i++ {
+		chi = applyCircuit(b, n, c, be, ws).MaxBond()
+	}
+	b.ReportMetric(float64(chi), "χ")
 }

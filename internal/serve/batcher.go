@@ -28,8 +28,8 @@ type job struct {
 	preds []conformal.Prediction
 	err   error
 	done  chan struct{}
-	// span is the request's trace span (from the DoCtx context), nil when
-	// the request is untraced. At scatter time the dispatcher reconstructs
+	// span is the request's trace span (from the DoFullCtx context), nil
+	// when the request is untraced. At scatter time the dispatcher reconstructs
 	// the request's queue_wait / batch_compute / scatter phases under it.
 	span *obs.Span
 	// canceled marks a job whose submitter gave up (context ended) while it
@@ -40,9 +40,9 @@ type job struct {
 }
 
 // Batcher owns one resident model and the dispatchers in front of it. Create
-// with New, submit via Do, stop with Close. In a multi-model deployment the
-// registry owns one Batcher per model, so each model has its own queue and
-// dispatchers.
+// with New, submit via DoFullCtx, stop with Close. In a multi-model deployment
+// the registry owns one Batcher per model, so each model has its own queue
+// and dispatchers.
 type Batcher struct {
 	fw    *core.Framework
 	model *core.Model
@@ -129,8 +129,8 @@ func (s *Batcher) Framework() *core.Framework { return s.fw }
 // Model returns the resident model.
 func (s *Batcher) Model() *core.Model { return s.model }
 
-// Close stops admission — future Do calls fail with ErrClosed — then drains:
-// every request accepted before Close is still answered before Close
+// Close stops admission — future DoFullCtx calls fail with ErrClosed — then
+// drains: every request accepted before Close is still answered before Close
 // returns. The drain is what lets a hot swap retire the old model's Batcher
 // with zero dropped in-flight requests. Safe to call more than once.
 func (s *Batcher) Close() {
@@ -138,35 +138,20 @@ func (s *Batcher) Close() {
 	<-s.done
 }
 
-// Do submits rows for prediction and blocks until their batch is answered.
-// It is the in-process equivalent of POST /predict: rows from Do calls that
-// queue while every dispatcher is busy coalesce into shared kernel
-// computations.
-func (s *Batcher) Do(rows [][]float64) ([]float64, error) {
-	return s.DoCtx(context.Background(), rows)
-}
-
-// DoCtx is Do bounded by a context: if ctx ends while the request is still
-// queued, DoCtx returns ErrCanceled immediately and a dispatcher releases
-// the slot when it reaches the job — the dead request's rows are never
-// computed. A cancellation that races the batch dispatch may still compute
-// the rows (they were already gathered); the caller gets ErrCanceled either
-// way.
-func (s *Batcher) DoCtx(ctx context.Context, rows [][]float64) ([]float64, error) {
-	scores, _, err := s.DoFullCtx(ctx, rows)
-	return scores, err
-}
-
-// DoFull is DoFullCtx under a background context.
-func (s *Batcher) DoFull(rows [][]float64) ([]float64, []conformal.Prediction, error) {
-	return s.DoFullCtx(context.Background(), rows)
-}
-
-// DoFullCtx submits rows and returns both the raw decision scores and — when
-// the resident model is calibrated — the per-row conformal predictions
+// DoFullCtx submits rows for prediction and blocks until their batch is
+// answered. It is the in-process equivalent of POST /predict: rows from calls
+// that queue while every dispatcher is busy coalesce into shared kernel
+// computations. It returns both the raw decision scores and — when the
+// resident model is calibrated — the per-row conformal predictions
 // (prediction set, p-values, confidence, abstain/outlier flags), computed
-// once per batch from the same scores. On a score-only model the prediction
-// slice is nil and the call behaves exactly like DoCtx.
+// once per batch from the same scores; on a score-only model the prediction
+// slice is nil.
+//
+// If ctx ends while the request is still queued, DoFullCtx returns
+// ErrCanceled immediately and a dispatcher releases the slot when it reaches
+// the job — the dead request's rows are never computed. A cancellation that
+// races the batch dispatch may still compute the rows (they were already
+// gathered); the caller gets ErrCanceled either way.
 func (s *Batcher) DoFullCtx(ctx context.Context, rows [][]float64) ([]float64, []conformal.Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCanceled, err)

@@ -13,8 +13,8 @@ func TestFaultClientCancelBeforeEnqueue(t *testing.T) {
 	s, _, _, testX := newTestBatcher(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.DoCtx(ctx, testX[:1]); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("DoCtx with dead context = %v, want ErrCanceled", err)
+	if _, _, err := s.DoFullCtx(ctx, testX[:1]); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("DoFullCtx with dead context = %v, want ErrCanceled", err)
 	}
 	st := s.Stats()
 	if st.Requests != 0 || st.Canceled != 0 || st.QueuedJobs != 0 {
@@ -33,7 +33,7 @@ func TestFaultClientCancelReleasesQueuedSlot(t *testing.T) {
 	// is held again.
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := s.DoCtx(context.Background(), testX[:1])
+		_, _, err := s.DoFullCtx(context.Background(), testX[:1])
 		aDone <- err
 	}()
 	waitFor(t, "job A queued", func() bool { return s.Stats().QueuedJobs == 1 })
@@ -46,7 +46,7 @@ func TestFaultClientCancelReleasesQueuedSlot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	bDone := make(chan error, 1)
 	go func() {
-		_, err := s.DoCtx(ctx, testX[1:2])
+		_, _, err := s.DoFullCtx(ctx, testX[1:2])
 		bDone <- err
 	}()
 	waitFor(t, "job B queued", func() bool { return s.Stats().QueuedJobs == 1 })

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -31,7 +32,7 @@ func trainCalibrated(t *testing.T, features int) (*core.Framework, *core.Model, 
 	return fw, model, test.X
 }
 
-// TestDoFullCalibrated: a calibrated model's batcher answers DoFull with
+// TestDoFullCalibrated: a calibrated model's batcher answers DoFullCtx with
 // predictions identical to feeding its own scores through the model's
 // conformal predictor, and the stats counters track abstentions and the
 // confidence histogram.
@@ -43,7 +44,7 @@ func TestDoFullCalibrated(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 
-	scores, preds, err := s.DoFull(testX)
+	scores, preds, err := s.DoFullCtx(context.Background(), testX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDoFullCalibrated(t *testing.T) {
 // and untouched conformal counters — the pre-calibration contract.
 func TestDoFullScoreOnly(t *testing.T) {
 	s, fw, model, testX := newTestBatcher(t, Config{})
-	scores, preds, err := s.DoFull(testX[:4])
+	scores, preds, err := s.DoFullCtx(context.Background(), testX[:4])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,28 +221,16 @@ func (r *Registry) Get(name string) (*Instance, error) {
 	return e.cur.Load(), nil
 }
 
-// Predict routes rows to the named model's current Batcher. A request that
-// races a hot swap — it picked the old instance, the swap retired it, and
-// the drain had already passed — retries on the fresh instance, so a reload
-// under load drops nothing and every answer is scored entirely by one model
-// generation.
-func (r *Registry) Predict(name string, rows [][]float64) ([]float64, error) {
-	return r.PredictCtx(context.Background(), name, rows)
-}
-
-// PredictCtx is Predict bounded by the request's context: a client that
-// disconnects while its rows are still queued gets its batcher slot released
-// instead of computing a dead request (serve.ErrCanceled).
-func (r *Registry) PredictCtx(ctx context.Context, name string, rows [][]float64) ([]float64, error) {
-	scores, _, err := r.PredictFullCtx(ctx, name, rows)
-	return scores, err
-}
-
-// PredictFullCtx is PredictCtx returning the calibrated predictions
-// alongside the raw scores: nil predictions when the serving model is
-// score-only, so callers branch on the slice rather than the model. The
-// swap-retry semantics are identical — both slices always come from one
-// model generation.
+// PredictFullCtx routes rows to the named model's current Batcher and
+// returns the raw scores alongside the calibrated predictions: nil
+// predictions when the serving model is score-only, so callers branch on the
+// slice rather than the model. A request that races a hot swap — it picked
+// the old instance, the swap retired it, and the drain had already passed —
+// retries on the fresh instance, so a reload under load drops nothing and
+// both slices always come from one model generation. The request's context
+// bounds the call: a client that disconnects while its rows are still queued
+// gets its batcher slot released instead of computing a dead request
+// (serve.ErrCanceled).
 func (r *Registry) PredictFullCtx(ctx context.Context, name string, rows [][]float64) ([]float64, []conformal.Prediction, error) {
 	for {
 		inst, err := r.Get(name)

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -100,7 +101,7 @@ func TestMultiModelPredict(t *testing.T) {
 				name, want = "beta", wantB
 			}
 			for iter := 0; iter < 3; iter++ {
-				got, err := r.Predict(name, testX)
+				got, _, err := r.PredictFullCtx(context.Background(), name, testX)
 				if err != nil {
 					errs[c] = err
 					return
@@ -122,11 +123,11 @@ func TestMultiModelPredict(t *testing.T) {
 	}
 
 	// Default-name routing: "" resolves to the first spec.
-	got, err := r.Predict("", testX[:1])
+	got, _, err := r.PredictFullCtx(context.Background(), "", testX[:1])
 	if err != nil || got[0] != wantA[0] {
 		t.Fatalf("default predict: %v, %v (want alpha's %v)", got, err, wantA[0])
 	}
-	if _, err := r.Predict("nope", testX[:1]); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := r.PredictFullCtx(context.Background(), "nope", testX[:1]); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unknown model: %v", err)
 	}
 }
@@ -220,7 +221,7 @@ func TestHotSwapMetamorphic(t *testing.T) {
 					return
 				default:
 				}
-				got, err := r.Predict("live", rows)
+				got, _, err := r.PredictFullCtx(context.Background(), "live", rows)
 				if err != nil {
 					errs[c] = err
 					return
@@ -259,7 +260,7 @@ func TestHotSwapMetamorphic(t *testing.T) {
 	}
 
 	// Post-swap responses must come from the new model only.
-	got, err := r.Predict("live", rows)
+	got, _, err := r.PredictFullCtx(context.Background(), "live", rows)
 	if err != nil || !matches(got, wantNew[:3]) {
 		t.Fatalf("post-swap predict: %v, %v (want new model's %v)", got, err, wantNew[:3])
 	}
@@ -316,7 +317,7 @@ func TestReloadFailureKeepsOld(t *testing.T) {
 	if _, err := r.Reload("alpha", true); err == nil {
 		t.Fatal("corrupt reload succeeded")
 	}
-	got, err := r.Predict("alpha", testX[:2])
+	got, _, err := r.PredictFullCtx(context.Background(), "alpha", testX[:2])
 	if err != nil || got[0] != want[0] {
 		t.Fatalf("old generation stopped serving after failed reload: %v, %v", got, err)
 	}
@@ -394,7 +395,7 @@ func TestBatchConfigThreaded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Predict("alpha", rows); errors.Is(err, serve.ErrQueueFull) {
+			if _, _, err := r.PredictFullCtx(context.Background(), "alpha", rows); errors.Is(err, serve.ErrQueueFull) {
 				shed.Add(1)
 			}
 		}()

@@ -34,7 +34,7 @@
 // layer maps to 429 — clients retry with backoff instead of piling latency
 // onto everyone else's batches.
 //
-// Close is graceful: it stops admission (later Do calls fail with
+// Close is graceful: it stops admission (later DoFullCtx calls fail with
 // ErrClosed) and then drains — every request accepted before Close is still
 // answered, so a registry hot swap can retire the old model's Batcher with
 // zero dropped in-flight requests.
@@ -84,7 +84,7 @@ type Config struct {
 	// runs (as its own batch). Default 32.
 	MaxBatch int
 	// QueueDepth bounds the number of requests waiting to join a batch;
-	// beyond it Do returns ErrQueueFull. Default 64.
+	// beyond it DoFullCtx returns ErrQueueFull. Default 64.
 	QueueDepth int
 	// MaxRequestRows caps the rows a single request may carry (HTTP 413
 	// beyond it). Default 1024.
@@ -92,7 +92,7 @@ type Config struct {
 	// Obs, when non-nil, records one trace per dispatched batch (retained in
 	// the tracer's ring): the batch root links every coalesced request's
 	// trace, and the kernel spans of the batched Predict nest under it. Each
-	// request span travelling in a DoCtx context additionally gets its
+	// request span travelling in a DoFullCtx context additionally gets its
 	// queue_wait / batch_compute / scatter phases reconstructed at scatter
 	// time. Nil disables batch traces; the latency histograms below are
 	// always live.

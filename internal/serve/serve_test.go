@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -71,7 +72,7 @@ func TestSingleRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Do(testX[:1])
+	got, _, err := s.DoFullCtx(context.Background(), testX[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, err := s.Do(testX[i : i+1])
+			got, _, err := s.DoFullCtx(context.Background(), testX[i:i+1])
 			errs[i] = err
 			if err == nil && len(got) == 1 {
 				scores[i] = got[0]
@@ -145,7 +146,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := s.Do(testX[i%len(testX) : i%len(testX)+1])
+			_, _, err := s.DoFullCtx(context.Background(), testX[i%len(testX):i%len(testX)+1])
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -169,18 +170,18 @@ func TestQueueFullBackpressure(t *testing.T) {
 func TestRequestValidation(t *testing.T) {
 	s, _, _, testX := newTestBatcher(t, Config{MaxRequestRows: 4})
 
-	if _, err := s.Do(nil); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("Do(nil) = %v, want ErrBadRequest", err)
+	if _, _, err := s.DoFullCtx(context.Background(), nil); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("DoFullCtx(nil) = %v, want ErrBadRequest", err)
 	}
-	if _, err := s.Do([][]float64{{0.5, 0.5}}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("Do(narrow row) = %v, want ErrBadRequest", err)
+	if _, _, err := s.DoFullCtx(context.Background(), [][]float64{{0.5, 0.5}}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("DoFullCtx(narrow row) = %v, want ErrBadRequest", err)
 	}
 	wide := make([][]float64, 5)
 	for i := range wide {
 		wide[i] = testX[0]
 	}
-	if _, err := s.Do(wide); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("Do(oversized) = %v, want ErrTooLarge", err)
+	if _, _, err := s.DoFullCtx(context.Background(), wide); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("DoFullCtx(oversized) = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -212,7 +213,7 @@ func TestCloseDrains(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, err := s.Do(testX[:1])
+				got, _, err := s.DoFullCtx(context.Background(), testX[:1])
 				errs[i] = err
 				if err == nil && len(got) == 1 {
 					scores[i] = got[0]
@@ -245,7 +246,7 @@ func TestCloseDrains(t *testing.T) {
 func TestLoneRequestDoesNotWait(t *testing.T) {
 	s, _, _, testX := newTestBatcher(t, Config{})
 	for i := range 50 {
-		if _, err := s.Do(testX[i%len(testX) : i%len(testX)+1]); err != nil {
+		if _, _, err := s.DoFullCtx(context.Background(), testX[i%len(testX):i%len(testX)+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +287,7 @@ func TestCloseAnswersInFlightBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[k], errs[k] = s.Do(request(k))
+			got[k], _, errs[k] = s.DoFullCtx(context.Background(), request(k))
 		}()
 	}
 	for k := range queued {
@@ -335,8 +336,8 @@ func TestCloseRejectsAndUnblocks(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Do(testX[:1]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Do after Close = %v, want ErrClosed", err)
+	if _, _, err := s.DoFullCtx(context.Background(), testX[:1]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DoFullCtx after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -365,7 +366,7 @@ func TestOversizedRequestRunsAloneAsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Do(testX[:6])
+	got, _, err := s.DoFullCtx(context.Background(), testX[:6])
 	if err != nil {
 		t.Fatal(err)
 	}

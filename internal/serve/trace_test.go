@@ -27,7 +27,7 @@ func TestBatchTraceLinksEveryRequest(t *testing.T) {
 			tr := tracer.StartTrace("", "request")
 			reqTraces[c] = tr
 			ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-			if _, err := s.DoCtx(ctx, testX[c:c+1]); err != nil {
+			if _, _, err := s.DoFullCtx(ctx, testX[c:c+1]); err != nil {
 				t.Error(err)
 			}
 			tracer.Finish(tr)
@@ -128,7 +128,7 @@ func TestBatchTraceLinksEveryRequest(t *testing.T) {
 // live, tracing is opt-in.
 func TestUntracedRequestsStillObserved(t *testing.T) {
 	s, _, _, testX := newTestBatcher(t, Config{})
-	if _, err := s.Do(testX[:1]); err != nil {
+	if _, _, err := s.DoFullCtx(context.Background(), testX[:1]); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
