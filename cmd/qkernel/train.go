@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/conformal/sdt"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/svm"
@@ -177,4 +178,49 @@ func runTrain(args []string) int {
 	fmt.Printf("saved %s (%.1f KiB, %s) in %v total\n",
 		*out, float64(fi.Size())/1024, states, time.Since(t0).Round(time.Millisecond))
 	return 0
+}
+
+// dataFlags bundles train's dataset-selection flags.
+type dataFlags struct {
+	size     int
+	features int
+	seed     int64
+	dataPath string
+	labelCol int
+	header   bool
+}
+
+func (d *dataFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&d.size, "size", 200, "balanced sample size")
+	fs.IntVar(&d.features, "features", 50, "feature count (qubits)")
+	fs.Int64Var(&d.seed, "seed", 1, "data seed")
+	fs.StringVar(&d.dataPath, "data", "", "optional CSV dataset (otherwise synthetic)")
+	fs.IntVar(&d.labelCol, "label-col", 0, "label column index in the CSV")
+	fs.BoolVar(&d.header, "header", false, "CSV has a header row")
+}
+
+// split materialises the configured dataset and performs the paper's
+// preprocessing split, narrating what it loaded.
+func (d *dataFlags) split() (train, test *dataset.Dataset, err error) {
+	var full *dataset.Dataset
+	if d.dataPath != "" {
+		full, err = dataset.LoadCSVFile(d.dataPath, d.labelCol, d.header)
+		if err != nil {
+			return nil, nil, err
+		}
+		if full.Features() < d.features {
+			return nil, nil, fmt.Errorf("CSV has %d features, requested %d", full.Features(), d.features)
+		}
+		fmt.Printf("dataset: %s — %d samples (%d illicit / %d licit), %d features\n",
+			d.dataPath, full.Len(), full.CountLabel(dataset.Illicit), full.CountLabel(dataset.Licit), full.Features())
+	} else {
+		fmt.Printf("dataset: synthetic Elliptic-shaped, %d samples balanced, %d features\n", d.size, d.features)
+		full = dataset.GenerateElliptic(dataset.EllipticConfig{Features: d.features, NumIllicit: d.size, NumLicit: d.size, Seed: d.seed})
+	}
+	train, test, err = dataset.PrepareSplit(full, d.size, d.features, d.seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("split: %d train / %d test\n", train.Len(), test.Len())
+	return train, test, nil
 }

@@ -2,7 +2,7 @@
 // data generation → preprocessing → circuit construction → MPS simulation →
 // distributed Gram computation → SVM training → metrics. These complement
 // the per-package unit tests by checking that the pieces compose the way the
-// cmd/ binaries and experiment runners use them.
+// qkernel CLI and experiment runners use them.
 package main
 
 import (

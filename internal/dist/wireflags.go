@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// WireFlags is the transport-selection flag bundle shared by every binary
-// that drives a distributed computation (cmd/qkernel's one-shot and train
-// modes, cmd/runtimescaling), so the flag vocabulary and its validation
-// cannot drift between them.
+// WireFlags is the transport-selection flag bundle of `qkernel train`, the
+// one command that picks a distributed computation's wire from its flags; it
+// keeps the flag vocabulary and its validation next to the transports they
+// build.
 type WireFlags struct {
 	// Name is the -transport value (ParseTransport's vocabulary).
 	Name string

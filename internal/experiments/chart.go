@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Chart renders simple ASCII line/bar charts so the cmd/ binaries can show
+// Chart renders simple ASCII line/bar charts so `qkernel repro` can show
 // the paper's figures directly in the terminal (the paper's artifacts pop up
 // pyplot windows; a terminal chart is the dependency-free equivalent).
 type Chart struct {

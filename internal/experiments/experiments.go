@@ -9,12 +9,13 @@
 //	A6 / Tab. II — kernel comparison grid d×γ vs Gaussian        (RunTableII)
 //	A7 / Tab. III— ansatz depth ablation                         (RunTableIII)
 //
-// Each runner takes a params struct whose zero value selects scaled-down
-// defaults that finish on a laptop while preserving the paper's sweep
-// structure; the flags on the cmd/ binaries expose every knob, so the
-// paper-scale configuration is reachable on bigger hardware. Runners return
-// plain row/series structs and know how to render themselves as the same
-// tables the paper prints.
+// plus the truncation-noise study the paper leaves as future work
+// (RunTruncationNoise). Each runner takes a params struct whose zero value
+// selects scaled-down defaults that finish on a laptop while preserving the
+// paper's sweep structure; each params doc names the paper's values, and
+// `qkernel repro <artifact> -paper` runs at them. Runners return plain
+// row/series structs and know how to render themselves as the same tables
+// the paper prints.
 package experiments
 
 import (
@@ -22,7 +23,96 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/kernel"
+	"repro/internal/mps"
+	"repro/internal/svm"
 )
+
+// scaledRows generates perClass synthetic Elliptic-shaped rows of each label
+// with the given feature count, draws a balanced subset of n of them and
+// min-max scales it: the circuit inputs of the simulation-only runners
+// (Figs. 5–8), which draw from Kaggle's data the same way in the paper.
+func scaledRows(features, perClass, n int, seed int64) ([][]float64, error) {
+	full := dataset.GenerateElliptic(dataset.EllipticConfig{
+		Features:   features,
+		NumIllicit: perClass,
+		NumLicit:   perClass,
+		Seed:       seed,
+	})
+	sub, err := full.BalancedSubset(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := dataset.FitScaler(sub)
+	if err != nil {
+		return nil, err
+	}
+	scaled, err := sc.Transform(sub)
+	if err != nil {
+		return nil, err
+	}
+	return scaled.X, nil
+}
+
+// quantumFit is a quantum-kernel SVM fitted on one train/test split.
+type quantumFit struct {
+	states []*mps.MPS  // simulated training states
+	gram   [][]float64 // training Gram matrix
+	model  *svm.Model
+	met    svm.Metrics // held-out metrics of model
+	bestC  float64
+}
+
+// fitQuantum simulates the train and test rows under q, builds the Gram and
+// cross kernels from the states and keeps the SVM whose C from cgrid (nil =
+// svm.DefaultCGrid) scores the best held-out AUC: the classification core of
+// Figs. 9–10, Tables II–III and the truncation-noise study.
+func fitQuantum(q *kernel.Quantum, train, test *dataset.Dataset, cgrid []float64) (*quantumFit, error) {
+	trainStates, err := q.States(train.X)
+	if err != nil {
+		return nil, err
+	}
+	testStates, err := q.States(test.X)
+	if err != nil {
+		return nil, err
+	}
+	gram := kernel.GramFromStates(trainStates, 0)
+	cross := kernel.CrossFromStates(testStates, trainStates, 0)
+	model, met, bestC, err := svm.TrainBestC(gram, train.Y, cross, test.Y, cgrid, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &quantumFit{states: trainStates, gram: gram, model: model, met: met, bestC: bestC}, nil
+}
+
+// averageRuns evaluates a kernel pipeline on runs seeded train/test splits of
+// full (seeds seed, seed+100, …) and averages the resulting metrics (the
+// paper's 6-sample averaging).
+func averageRuns(full *dataset.Dataset, size, features, runs int, seed int64, eval func(train, test *dataset.Dataset) (svm.Metrics, error)) (svm.Metrics, error) {
+	var acc svm.Metrics
+	for r := 0; r < runs; r++ {
+		train, test, err := dataset.PrepareSplit(full, size, features, seed+int64(100*r))
+		if err != nil {
+			return svm.Metrics{}, err
+		}
+		met, err := eval(train, test)
+		if err != nil {
+			return svm.Metrics{}, err
+		}
+		acc.Accuracy += met.Accuracy
+		acc.Precision += met.Precision
+		acc.Recall += met.Recall
+		acc.AUC += met.AUC
+	}
+	n := float64(runs)
+	acc.Accuracy /= n
+	acc.Precision /= n
+	acc.Recall /= n
+	acc.AUC /= n
+	return acc, nil
+}
 
 // Sample summarises repeated timing measurements the way the paper plots
 // them: median with first and third quartiles (Fig. 5's error bars).
@@ -56,7 +146,7 @@ func Summarize(xs []float64) Sample {
 func Seconds(d time.Duration) float64 { return d.Seconds() }
 
 // Table is a minimal fixed-width text table writer shared by all runners, so
-// cmd binaries print results in the paper's row/column structure.
+// `qkernel repro` prints results in the paper's row/column structure.
 type Table struct {
 	Header []string
 	Rows   [][]string

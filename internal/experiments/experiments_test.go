@@ -2,10 +2,33 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/svm"
 )
+
+// TestZeroParamsAreLaptopScale pins what each runner runs at when given
+// zero-value Params (`qkernel repro <artifact>` without -paper).
+func TestZeroParamsAreLaptopScale(t *testing.T) {
+	cases := []struct{ got, want any }{
+		{Fig5Params{}.withDefaults(), Fig5Params{Qubits: 32, Layers: 2, Gamma: 1, Distances: []int{1, 2, 3, 4, 5, 6}, Circuits: 8, Seed: 1}},
+		{Fig6Params{}.withDefaults(), Fig6Params{Qubits: 60, Layers: 2, Gamma: 1, Distances: []int{4, 6}, Samples: 8, Seed: 1}},
+		{Fig7Params{}.withDefaults(), Fig7Params{QubitGrid: []int{15, 40, 65, 90, 115, 140, 165}, Layers: 2, Distance: 4, Gammas: []float64{0.1, 0.5, 1}, Samples: 4, Seed: 1}},
+		{Fig8Params{}.withDefaults(), Fig8Params{Qubits: 165, Layers: 2, Distance: 1, Gamma: 0.1, Steps: []Fig8Step{{64, 2}, {128, 4}, {256, 8}, {512, 16}}, Seed: 1}},
+		{QMLParams{}.withDefaults(), QMLParams{SampleSizes: []int{100, 300, 800}, FeatureGrid: []int{15, 50, 100, 165}, Layers: 2, Distance: 1, Gamma: 0.1, Seed: 1, CGrid: svm.DefaultCGrid}},
+		{TableIIParams{}.withDefaults(), TableIIParams{Features: 50, DataSize: 240, Layers: 2, Distances: []int{1, 2, 4, 6}, Gammas: []float64{0.1, 0.5, 1}, Runs: 3, Seed: 1, CGrid: svm.DefaultCGrid}},
+		{TableIIIParams{}.withDefaults(), TableIIIParams{Features: 50, DataSize: 240, Distance: 1, Gamma: 1, Depths: []int{2, 4, 8, 12, 16, 20}, Runs: 3, Seed: 1, CGrid: svm.DefaultCGrid}},
+		{NoiseParams{}.withDefaults(), NoiseParams{Features: 16, DataSize: 80, Layers: 2, Distance: 3, Gamma: 0.8, Budgets: []float64{1e-16, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2}, Seed: 1}},
+	}
+	for _, c := range cases {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%T defaults = %+v, want %+v", c.got, c.got, c.want)
+		}
+	}
+}
 
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{3, 1, 2})

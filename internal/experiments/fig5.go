@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/dataset"
 	"repro/internal/mps"
 )
 
@@ -74,25 +73,11 @@ type Fig5Result struct {
 // synthetic Elliptic dataset exactly as the paper draws from Kaggle's.
 func RunFig5TableI(p Fig5Params) (*Fig5Result, error) {
 	p = p.withDefaults()
-	full := dataset.GenerateElliptic(dataset.EllipticConfig{
-		Features:   p.Qubits,
-		NumIllicit: 4 * p.Circuits,
-		NumLicit:   4 * p.Circuits,
-		Seed:       p.Seed,
-	})
-	sub, err := full.BalancedSubset(2*p.Circuits, p.Seed)
+	rows, err := scaledRows(p.Qubits, 4*p.Circuits, 2*p.Circuits, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := dataset.FitScaler(sub)
-	if err != nil {
-		return nil, err
-	}
-	scaled, err := sc.Transform(sub)
-	if err != nil {
-		return nil, err
-	}
-	rows := scaled.X[:p.Circuits]
+	rows = rows[:p.Circuits]
 
 	res := &Fig5Result{Params: p, CrossoverDistance: -1}
 	for _, d := range p.Distances {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/dataset"
 	"repro/internal/mps"
 )
 
@@ -66,25 +65,11 @@ type Fig6Result struct {
 // resamples the traces onto a common percentage grid.
 func RunFig6(p Fig6Params) (*Fig6Result, error) {
 	p = p.withDefaults()
-	full := dataset.GenerateElliptic(dataset.EllipticConfig{
-		Features:   p.Qubits,
-		NumIllicit: 2 * p.Samples,
-		NumLicit:   2 * p.Samples,
-		Seed:       p.Seed,
-	})
-	sub, err := full.BalancedSubset(2*p.Samples, p.Seed)
+	rows, err := scaledRows(p.Qubits, 2*p.Samples, 2*p.Samples, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := dataset.FitScaler(sub)
-	if err != nil {
-		return nil, err
-	}
-	scaled, err := sc.Transform(sub)
-	if err != nil {
-		return nil, err
-	}
-	rows := scaled.X[:p.Samples]
+	rows = rows[:p.Samples]
 
 	const gridN = 100
 	res := &Fig6Result{Params: p}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/dataset"
 	"repro/internal/mps"
 )
 
@@ -72,21 +71,7 @@ func RunFig7(p Fig7Params) (*Fig7Result, error) {
 			maxQ = q
 		}
 	}
-	full := dataset.GenerateElliptic(dataset.EllipticConfig{
-		Features:   maxQ,
-		NumIllicit: 2 * p.Samples,
-		NumLicit:   2 * p.Samples,
-		Seed:       p.Seed,
-	})
-	sub, err := full.BalancedSubset(2*p.Samples, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := dataset.FitScaler(sub)
-	if err != nil {
-		return nil, err
-	}
-	scaled, err := sc.Transform(sub)
+	rows, err := scaledRows(maxQ, 2*p.Samples, 2*p.Samples, p.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +85,7 @@ func RunFig7(p Fig7Params) (*Fig7Result, error) {
 			ansatz := circuit.Ansatz{Qubits: m, Layers: p.Layers, Distance: p.Distance, Gamma: gamma}
 			var secs, chi float64
 			for s := 0; s < p.Samples; s++ {
-				x := scaled.X[s][:m]
+				x := rows[s][:m]
 				c, err := ansatz.BuildRouted(x)
 				if err != nil {
 					return nil, err

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/dataset"
 	"repro/internal/dist"
 	"repro/internal/kernel"
 )
@@ -26,11 +25,6 @@ type Fig8Params struct {
 	// double both, as in the paper's bars.
 	Steps []Fig8Step
 	Seed  int64
-	// Transport selects the wire the ring exchange runs over (nil = the
-	// zero-cost chan wire). With dist.SimTransport the comm bars reflect a
-	// parameterised network instead of a free one — the knob that makes the
-	// paper's messaging-vs-redundancy trade-off visible at laptop scale.
-	Transport dist.Transport
 }
 
 // Fig8Step is one bar of Fig. 8.
@@ -89,32 +83,16 @@ func RunFig8(p Fig8Params) (*Fig8Result, error) {
 			maxN = s.DataSize
 		}
 	}
-	full := dataset.GenerateElliptic(dataset.EllipticConfig{
-		Features:   p.Qubits,
-		NumIllicit: maxN,
-		NumLicit:   maxN,
-		Seed:       p.Seed,
-	})
 	res := &Fig8Result{Params: p}
 	for _, step := range p.Steps {
-		sub, err := full.BalancedSubset(step.DataSize, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := dataset.FitScaler(sub)
-		if err != nil {
-			return nil, err
-		}
-		scaled, err := sc.Transform(sub)
+		rows, err := scaledRows(p.Qubits, maxN, step.DataSize, p.Seed)
 		if err != nil {
 			return nil, err
 		}
 		q := &kernel.Quantum{
 			Ansatz: circuit.Ansatz{Qubits: p.Qubits, Layers: p.Layers, Distance: p.Distance, Gamma: p.Gamma},
 		}
-		dres, err := dist.ComputeGram(q, scaled.X, dist.Options{
-			Procs: step.Procs, Strategy: dist.RoundRobin, Transport: p.Transport,
-		})
+		dres, err := dist.ComputeGram(q, rows, dist.Options{Procs: step.Procs, Strategy: dist.RoundRobin})
 		if err != nil {
 			return nil, err
 		}

@@ -113,27 +113,16 @@ func runQMLCell(full *dataset.Dataset, size, feats int, p QMLParams) (QMLPoint, 
 	q := &kernel.Quantum{
 		Ansatz: circuit.Ansatz{Qubits: feats, Layers: p.Layers, Distance: p.Distance, Gamma: p.Gamma},
 	}
-	trainStates, err := q.States(train.X)
+	fit, err := fitQuantum(q, train, test, p.CGrid)
 	if err != nil {
 		return pt, err
 	}
-	testStates, err := q.States(test.X)
-	if err != nil {
-		return pt, err
-	}
-	ktr := kernel.GramFromStates(trainStates, 0)
-	kte := kernel.CrossFromStates(testStates, trainStates, 0)
-
-	model, met, bestC, err := svm.TrainBestC(ktr, train.Y, kte, test.Y, p.CGrid, 0)
-	if err != nil {
-		return pt, err
-	}
-	pt.TestAUC = met.AUC
-	pt.TestModel = met
-	pt.BestC = bestC
+	pt.TestAUC = fit.met.AUC
+	pt.TestModel = fit.met
+	pt.BestC = fit.bestC
 	// Train AUC of the selected model (Fig. 9: "how well the trained SVM
 	// predicts the correct labels of the training data set").
-	trainScores, err := model.DecisionBatch(ktr)
+	trainScores, err := fit.model.DecisionBatch(fit.gram)
 	if err != nil {
 		return pt, err
 	}

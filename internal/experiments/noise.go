@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernel"
 	"repro/internal/mps"
-	"repro/internal/svm"
 )
 
 // NoiseParams configures the truncation-noise study — the paper's stated
@@ -100,39 +99,28 @@ func RunTruncationNoise(p NoiseParams) (*NoiseResult, error) {
 	res := &NoiseResult{Params: p}
 	for _, budget := range p.Budgets {
 		q := &kernel.Quantum{Ansatz: ansatz, Config: mps.Config{TruncationBudget: budget}}
-		states, err := q.States(train.X)
+		fit, err := fitQuantum(q, train, test, nil)
 		if err != nil {
 			return nil, err
 		}
-		gram := kernel.GramFromStates(states, 0)
 
-		pt := NoisePoint{Budget: budget}
-		for _, s := range states {
+		pt := NoisePoint{Budget: budget, TestAUC: fit.met.AUC}
+		for _, s := range fit.states {
 			pt.AvgMaxChi += float64(s.MaxBond())
 			pt.AvgTruncErr += s.TruncationError
 			pt.MeanFidelityLB += 1 - s.TruncationError
 		}
-		n := float64(len(states))
+		n := float64(len(fit.states))
 		pt.AvgMaxChi /= n
 		pt.AvgTruncErr /= n
 		pt.MeanFidelityLB /= n
-		for i := range gram {
-			for j := range gram[i] {
-				if dev := math.Abs(gram[i][j] - exactGram[i][j]); dev > pt.MaxKernelDev {
+		for i, row := range fit.gram {
+			for j, k := range row {
+				if dev := math.Abs(k - exactGram[i][j]); dev > pt.MaxKernelDev {
 					pt.MaxKernelDev = dev
 				}
 			}
 		}
-		testStates, err := q.States(test.X)
-		if err != nil {
-			return nil, err
-		}
-		kte := kernel.CrossFromStates(testStates, states, 0)
-		_, met, _, err := svm.TrainBestC(gram, train.Y, kte, test.Y, nil, 0)
-		if err != nil {
-			return nil, err
-		}
-		pt.TestAUC = met.AUC
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil

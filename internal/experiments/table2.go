@@ -82,13 +82,13 @@ func RunTableII(p TableIIParams) (*TableIIResult, error) {
 	res := &TableIIResult{Params: p}
 
 	// Gaussian baseline.
-	gm, err := averageRuns(p, func(train, test *dataset.Dataset) (svm.Metrics, error) {
+	gm, err := averageRuns(full, p.DataSize, p.Features, p.Runs, p.Seed, func(train, test *dataset.Dataset) (svm.Metrics, error) {
 		g := kernel.NewGaussianFromData(train)
 		ktr := g.Gram(train.X)
 		kte := g.Cross(test.X, train.X)
 		_, met, _, err := svm.TrainBestC(ktr, train.Y, kte, test.Y, p.CGrid, 0)
 		return met, err
-	}, full)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: gaussian baseline: %w", err)
 	}
@@ -96,24 +96,16 @@ func RunTableII(p TableIIParams) (*TableIIResult, error) {
 
 	for _, gamma := range p.Gammas {
 		for _, d := range p.Distances {
-			gamma, d := gamma, d
-			qm, err := averageRuns(p, func(train, test *dataset.Dataset) (svm.Metrics, error) {
-				q := &kernel.Quantum{
-					Ansatz: circuit.Ansatz{Qubits: p.Features, Layers: p.Layers, Distance: d, Gamma: gamma},
-				}
-				trainStates, err := q.States(train.X)
+			q := &kernel.Quantum{
+				Ansatz: circuit.Ansatz{Qubits: p.Features, Layers: p.Layers, Distance: d, Gamma: gamma},
+			}
+			qm, err := averageRuns(full, p.DataSize, p.Features, p.Runs, p.Seed, func(train, test *dataset.Dataset) (svm.Metrics, error) {
+				fit, err := fitQuantum(q, train, test, p.CGrid)
 				if err != nil {
 					return svm.Metrics{}, err
 				}
-				testStates, err := q.States(test.X)
-				if err != nil {
-					return svm.Metrics{}, err
-				}
-				ktr := kernel.GramFromStates(trainStates, 0)
-				kte := kernel.CrossFromStates(testStates, trainStates, 0)
-				_, met, _, err := svm.TrainBestC(ktr, train.Y, kte, test.Y, p.CGrid, 0)
-				return met, err
-			}, full)
+				return fit.met, nil
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: quantum d=%d γ=%v: %w", d, gamma, err)
 			}
@@ -126,32 +118,6 @@ func RunTableII(p TableIIParams) (*TableIIResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// averageRuns evaluates a kernel pipeline on Runs seeded draws and averages
-// the resulting metrics (the paper's 6-sample averaging).
-func averageRuns(p TableIIParams, eval func(train, test *dataset.Dataset) (svm.Metrics, error), full *dataset.Dataset) (svm.Metrics, error) {
-	var acc svm.Metrics
-	for r := 0; r < p.Runs; r++ {
-		train, test, err := dataset.PrepareSplit(full, p.DataSize, p.Features, p.Seed+int64(100*r))
-		if err != nil {
-			return svm.Metrics{}, err
-		}
-		met, err := eval(train, test)
-		if err != nil {
-			return svm.Metrics{}, err
-		}
-		acc.Accuracy += met.Accuracy
-		acc.Precision += met.Precision
-		acc.Recall += met.Recall
-		acc.AUC += met.AUC
-	}
-	n := float64(p.Runs)
-	acc.Accuracy /= n
-	acc.Precision /= n
-	acc.Recall /= n
-	acc.AUC /= n
-	return acc, nil
 }
 
 // Table renders Table II with the paper's columns.

@@ -77,47 +77,27 @@ func RunTableIII(p TableIIIParams) (*TableIIIResult, error) {
 	})
 	res := &TableIIIResult{Params: p}
 	for _, depth := range p.Depths {
-		var acc svm.Metrics
+		q := &kernel.Quantum{
+			Ansatz: circuit.Ansatz{Qubits: p.Features, Layers: depth, Distance: p.Distance, Gamma: p.Gamma},
+		}
 		var conc kernel.Concentration
-		for run := 0; run < p.Runs; run++ {
-			train, test, err := dataset.PrepareSplit(full, p.DataSize, p.Features, p.Seed+int64(100*run))
+		met, err := averageRuns(full, p.DataSize, p.Features, p.Runs, p.Seed, func(train, test *dataset.Dataset) (svm.Metrics, error) {
+			fit, err := fitQuantum(q, train, test, p.CGrid)
 			if err != nil {
-				return nil, err
+				return svm.Metrics{}, err
 			}
-			q := &kernel.Quantum{
-				Ansatz: circuit.Ansatz{Qubits: p.Features, Layers: depth, Distance: p.Distance, Gamma: p.Gamma},
-			}
-			trainStates, err := q.States(train.X)
-			if err != nil {
-				return nil, err
-			}
-			testStates, err := q.States(test.X)
-			if err != nil {
-				return nil, err
-			}
-			ktr := kernel.GramFromStates(trainStates, 0)
-			kte := kernel.CrossFromStates(testStates, trainStates, 0)
-			_, met, _, err := svm.TrainBestC(ktr, train.Y, kte, test.Y, p.CGrid, 0)
-			if err != nil {
-				return nil, err
-			}
-			acc.Accuracy += met.Accuracy
-			acc.Precision += met.Precision
-			acc.Recall += met.Recall
-			acc.AUC += met.AUC
-			c := kernel.MeasureConcentration(ktr)
+			c := kernel.MeasureConcentration(fit.gram)
 			conc.Mean += c.Mean
 			conc.Var += c.Var
+			return fit.met, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		n := float64(p.Runs)
 		res.Rows = append(res.Rows, TableIIIRow{
-			Depth: depth,
-			Metrics: svm.Metrics{
-				Accuracy:  acc.Accuracy / n,
-				Precision: acc.Precision / n,
-				Recall:    acc.Recall / n,
-				AUC:       acc.AUC / n,
-			},
+			Depth:         depth,
+			Metrics:       met,
 			Concentration: kernel.Concentration{Mean: conc.Mean / n, Var: conc.Var / n},
 		})
 	}
