@@ -31,9 +31,9 @@ import (
 
 // Backend is the contraction/decomposition engine interface consumed by the
 // MPS simulator: the gate engine calls MatMulInto and SVDTruncLazy, and
-// overlaps and the reference path (mps.Config.ReferenceKernels) call MatMul.
-// Everything else — QR/LQ canonicalisation and the reference SVD — runs the
-// linalg routines directly, identically on every backend.
+// overlaps (and the mps tests' reference chain) call MatMul. Everything else
+// — QR/LQ canonicalisation and the reference SVD — runs the linalg routines
+// directly, identically on every backend.
 type Backend interface {
 	// Name identifies the backend in experiment output ("serial"/"parallel").
 	Name() string

@@ -2,12 +2,11 @@ package dist
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
-	"repro/internal/circuit"
-	"repro/internal/kernel"
 	"repro/internal/linalg"
-	"repro/internal/mps"
+	"repro/internal/statevector"
 )
 
 // TestEngineMetamorphicGramRelations is the metamorphic safety net for the
@@ -17,9 +16,9 @@ import (
 //
 //  1. stay exactly symmetric with a unit diagonal (up to truncation noise),
 //  2. remain positive semidefinite,
-//  3. match the pre-change path — reproduced by Config.ReferenceKernels,
-//     which pins the original generic contractions and plain Jacobi SVD —
-//     within 1e-10 elementwise, and
+//  3. match the exact Gram of the dense state-vector oracle
+//     (internal/statevector, on the unrouted circuits) within 1e-10
+//     elementwise, plus the room the truncation budget leaves (below), and
 //  4. stay bit-identical across transport × strategy combinations, all
 //     equal to the serial kernel.Gram under the same engine.
 func TestEngineMetamorphicGramRelations(t *testing.T) {
@@ -61,21 +60,43 @@ func TestEngineMetamorphicGramRelations(t *testing.T) {
 		t.Fatalf("engine Gram lost positive semidefiniteness: min eigenvalue %v", minEig)
 	}
 
-	// Relation 3: elementwise agreement with the pre-change reference
-	// engine within 1e-10.
-	qRef := &kernel.Quantum{
-		Ansatz: q.Ansatz,
-		Config: mps.Config{ReferenceKernels: true},
-	}
-	ref, err := qRef.Gram(X)
+	// Relation 3: elementwise agreement with the exact state-vector Gram
+	// within 1e-10 plus the truncation term. A state whose K truncations
+	// discarded total weight ε is ψ − δ with ‖δ‖ ≤ Σₖ√εₖ ≤ √(K·ε), so
+	// ||⟨ψ̃ᵢ|ψ̃ⱼ⟩|² − |⟨ψᵢ|ψⱼ⟩|²| ≤ 2(‖δᵢ‖ + ‖δⱼ‖ + ‖δᵢ‖‖δⱼ‖). Even at the
+	// 1e-16 budget that term is first-order in √ε: one discarded weight of
+	// 7e-17 here moves an entry by 7e-10.
+	states, err := q.States(X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref {
-		for j := range ref[i] {
-			if d := math.Abs(gram[i][j] - ref[i][j]); d > 1e-10 {
-				t.Fatalf("engine deviates from reference path at (%d,%d): %v vs %v (Δ=%v)",
-					i, j, gram[i][j], ref[i][j], d)
+	svs := make([]*statevector.State, n)
+	delta := make([]float64, n)
+	for i, x := range X {
+		c, err := q.Ansatz.Build(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svs[i] = statevector.Run(c)
+		routed, err := q.Ansatz.BuildRouted(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		for _, g := range routed.Gates {
+			if len(g.Qubits) == 2 {
+				k++
+			}
+		}
+		delta[i] = math.Sqrt(float64(k) * states[i].TruncationError)
+	}
+	for i := range svs {
+		for j := range svs {
+			ip := cmplx.Abs(statevector.Inner(svs[i], svs[j]))
+			tol := 1e-10 + 2*(delta[i]+delta[j]+delta[i]*delta[j])
+			if d := math.Abs(gram[i][j] - ip*ip); d > tol {
+				t.Fatalf("engine deviates from the state-vector Gram at (%d,%d): %v vs %v (Δ=%v, bound %v)",
+					i, j, gram[i][j], ip*ip, d, tol)
 			}
 		}
 	}
@@ -97,17 +118,5 @@ func TestEngineMetamorphicGramRelations(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestReferenceKernelsFingerprintDistinct: the reference-path flag enters
-// the simulation fingerprint, so cached states can never leak between the
-// two engines.
-func TestReferenceKernelsFingerprintDistinct(t *testing.T) {
-	a := circuit.Ansatz{Qubits: 6, Layers: 2, Distance: 2, Gamma: 0.7}
-	fast := &kernel.Quantum{Ansatz: a}
-	ref := &kernel.Quantum{Ansatz: a, Config: mps.Config{ReferenceKernels: true}}
-	if fast.Fingerprint() == ref.Fingerprint() {
-		t.Fatal("reference and fused engines share a cache fingerprint")
 	}
 }

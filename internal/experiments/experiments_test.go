@@ -15,7 +15,7 @@ import (
 func TestZeroParamsAreLaptopScale(t *testing.T) {
 	cases := []struct{ got, want any }{
 		{Fig5Params{}.withDefaults(), Fig5Params{Qubits: 32, Layers: 2, Gamma: 1, Distances: []int{1, 2, 3, 4, 5, 6}, Circuits: 8, Seed: 1}},
-		{Fig6Params{}.withDefaults(), Fig6Params{Qubits: 60, Layers: 2, Gamma: 1, Distances: []int{4, 6}, Samples: 8, Seed: 1}},
+		{Fig6Params{}.withDefaults(), Fig6Params{Qubits: 24, Layers: 2, Gamma: 1, Distances: []int{2, 4}, Samples: 8, Seed: 1}},
 		{Fig7Params{}.withDefaults(), Fig7Params{QubitGrid: []int{15, 40, 65, 90, 115, 140, 165}, Layers: 2, Distance: 4, Gammas: []float64{0.1, 0.5, 1}, Samples: 4, Seed: 1}},
 		{Fig8Params{}.withDefaults(), Fig8Params{Qubits: 165, Layers: 2, Distance: 1, Gamma: 0.1, Steps: []Fig8Step{{64, 2}, {128, 4}, {256, 8}, {512, 16}}, Seed: 1}},
 		{QMLParams{}.withDefaults(), QMLParams{SampleSizes: []int{100, 300, 800}, FeatureGrid: []int{15, 50, 100, 165}, Layers: 2, Distance: 1, Gamma: 0.1, Seed: 1, CGrid: svm.DefaultCGrid}},

@@ -93,7 +93,7 @@ func TestFingerprintInvalidation(t *testing.T) {
 		func() { q.Ansatz.Distance = 2 },
 		func() { q.Config.MaxBond = 4 },
 		func() { q.Config.TruncationBudget = 1e-8 },
-		func() { q.Config.Renormalize = true },
+		func() { q.Config.RecordMemory = true },
 	}
 	if _, hit, err := q.StateCachedSpan(x, nil, nil); err != nil || hit {
 		t.Fatalf("initial request: hit=%v err=%v", hit, err)

@@ -56,7 +56,8 @@ func (q *Quantum) workers() int {
 // model-persistence integrity checks (core.LoadModel refuses a model whose
 // saved fingerprint no longer matches the reconstructed kernel). The
 // zero-value Config aliases (nil backend → serial, zero budget → default)
-// are normalised so equivalent configurations share entries.
+// are normalised so equivalent configurations share entries. The three
+// literal false slots keep the format every saved model was written with.
 func (q *Quantum) Fingerprint() string {
 	be := "serial"
 	if q.Config.Backend != nil {
@@ -67,11 +68,9 @@ func (q *Quantum) Fingerprint() string {
 		tb = mps.DefaultTruncationBudget
 	}
 	a := q.Ansatz
-	return fmt.Sprintf("ansatz:%d/%d/%d/%x|cfg:%s/%x/%d/%t/%t/%t/%t",
+	return fmt.Sprintf("ansatz:%d/%d/%d/%x|cfg:%s/%x/%d/false/%t/false/false",
 		a.Qubits, a.Layers, a.Distance, math.Float64bits(a.Gamma),
-		be, math.Float64bits(tb), q.Config.MaxBond,
-		q.Config.Renormalize, q.Config.RecordMemory, q.Config.SkipCanonicalization,
-		q.Config.ReferenceKernels)
+		be, math.Float64bits(tb), q.Config.MaxBond, q.Config.RecordMemory)
 }
 
 // simulate runs the feature-map circuit for one data point unconditionally.

@@ -3,10 +3,10 @@
 // QR, one-sided Jacobi SVD and a Hermitian Jacobi eigensolver.
 //
 // These kernels are the numeric substrate for the tensor-network simulator in
-// internal/tensor and internal/mps. The paper's stack delegates to LAPACK
-// (ITensors) and cuTensorNet; here everything is implemented directly so that
-// the simulator is self-contained and auditable. Numerical quality is enforced
-// by property-based tests (reconstruction and orthogonality to near machine
+// internal/mps. The paper's stack delegates to LAPACK (ITensors) and
+// cuTensorNet; here everything is implemented directly so that the simulator
+// is self-contained and auditable. Numerical quality is enforced by
+// property-based tests (reconstruction and orthogonality to near machine
 // precision).
 //
 // All matrices are dense, row-major, complex128.

@@ -32,9 +32,10 @@ const svdMaxSweeps = 64
 // norms. The method is slower than bidiagonalisation-based SVD but is simple,
 // numerically robust and computes small singular values to high relative
 // accuracy — which matters here because MPS truncation (internal/mps) decides
-// which singular values to discard against a 1e-16 error budget. It is the
-// decomposition of the reference path (mps.Config.ReferenceKernels), the
-// oracle the gate engine's SVDTruncLazy is tested against.
+// which singular values to discard against a 1e-16 error budget. No
+// simulation path calls it: it is the decomposition of the reference chain
+// in the internal/mps tests, the oracle the gate engine (and its
+// SVDTruncLazy) is checked against.
 func SVD(a *Matrix) SVDResult {
 	m, n := a.Rows, a.Cols
 	if m == 0 || n == 0 {

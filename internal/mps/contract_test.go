@@ -1,4 +1,4 @@
-package tensor
+package mps
 
 import (
 	"math"
@@ -16,7 +16,7 @@ func TestContractMatricesEqualsMatMul(t *testing.T) {
 	b := randomTensor(rng, 5, 6)
 	c := Contract(a, b, []int{1}, []int{0})
 	want := linalg.MatMul(linalg.FromSlice(4, 5, a.Data), linalg.FromSlice(5, 6, b.Data))
-	if !c.EqualApprox(FromData(want.Data, 4, 6), 1e-10) {
+	if !c.EqualApprox(tensorFromData(want.Data, 4, 6), 1e-10) {
 		t.Fatal("rank-2 contraction disagrees with MatMul")
 	}
 }
@@ -71,8 +71,8 @@ func TestContractMultipleSharedBonds(t *testing.T) {
 }
 
 func TestContractToScalar(t *testing.T) {
-	a := FromData([]complex128{1, 2}, 2)
-	b := FromData([]complex128{3, 4}, 2)
+	a := tensorFromData([]complex128{1, 2}, 2)
+	b := tensorFromData([]complex128{3, 4}, 2)
 	c := Contract(a, b, []int{0}, []int{0})
 	if c.Rank() != 0 || c.Data[0] != 11 {
 		t.Fatalf("scalar contraction wrong: %v", c)
@@ -82,8 +82,8 @@ func TestContractToScalar(t *testing.T) {
 // TestOuterProduct: contracting no bonds is the outer (tensor) product, the
 // result's bonds being a's followed by b's.
 func TestOuterProduct(t *testing.T) {
-	a := FromData([]complex128{1, 2}, 2)
-	b := FromData([]complex128{10, 20, 30}, 3)
+	a := tensorFromData([]complex128{1, 2}, 2)
+	b := tensorFromData([]complex128{10, 20, 30}, 3)
 	c := Contract(a, b, nil, nil)
 	if c.Rank() != 2 || c.Shape[0] != 2 || c.Shape[1] != 3 {
 		t.Fatalf("outer shape %v", c.Shape)
@@ -103,7 +103,7 @@ func TestContractDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Contract(New(2, 3), New(4, 5), []int{1}, []int{0})
+	Contract(NewTensor(2, 3), NewTensor(4, 5), []int{1}, []int{0})
 }
 
 func TestContractAxisListMismatchPanics(t *testing.T) {
@@ -112,7 +112,7 @@ func TestContractAxisListMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Contract(New(2, 3), New(3, 2), []int{1, 0}, []int{0})
+	Contract(NewTensor(2, 3), NewTensor(3, 2), []int{1, 0}, []int{0})
 }
 
 // Property: contraction is bilinear — Contract(αa, b) == α·Contract(a, b).

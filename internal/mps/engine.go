@@ -1,11 +1,6 @@
 package mps
 
-import (
-	"math"
-
-	"repro/internal/linalg"
-	"repro/internal/tensor"
-)
+import "repro/internal/linalg"
 
 // SimWorkspace owns every scratch buffer of the zero-realloc gate engine:
 // the merged two-site theta block (held directly in its matricized layout),
@@ -25,7 +20,7 @@ type SimWorkspace struct {
 	la     linalg.Workspace
 	theta  linalg.Matrix // merged theta in matricized (2l × 2r) layout
 	absorb linalg.Matrix // R·next / prev·L canonicalisation product
-	swap   linalg.Matrix // cached swapQubitOrder output (4×4, grow-once)
+	swap   linalg.Matrix // (high, low) gate reordered to (low, high) (4×4, grow-once)
 	fold   linalg.Matrix // fused 1q⊗1q ∘ 2q gate matrix (4×4, grow-once)
 
 	// Header-only matrix views of site tensors (no backing storage).
@@ -109,7 +104,7 @@ func viewMatrix(v *linalg.Matrix, rows, cols int, data []complex128) *linalg.Mat
 // apply1InPlace contracts a single-qubit gate with the site tensor by mixing
 // the two physical-index slabs in place — the fused form of the
 // ContractWith → Transpose chain, touching no heap.
-func apply1InPlace(site *tensor.Tensor, g []complex128) {
+func apply1InPlace(site *Tensor, g []complex128) {
 	l, r := site.Shape[0], site.Shape[2]
 	g00, g01, g10, g11 := g[0], g[1], g[2], g[3]
 	d := site.Data
@@ -145,19 +140,23 @@ func fuseGate2(theta []complex128, g []complex128, l, r int) {
 	}
 }
 
-// apply2Engine is the zero-realloc two-qubit gate path: merge the two site
-// tensors directly into the matricized theta layout, fuse the gate in one
-// pass, run the workspace-backed truncation SVD, and write the truncated
-// factors straight into the sites' grow-only buffers — U reshaped into site
-// q, and diag(S)·V† absorbed in place into site q+1 (no ConjTranspose copy,
-// no intermediate Truncate).
-func (m *MPS) apply2Engine(g *linalg.Matrix, q int) {
+// apply2 applies a two-qubit gate listed on adjacent qubits (qa, qb) — the
+// one two-qubit dispatch of ApplyGate and ApplyCircuit (Fig. 1b). A gate
+// listed (high, low) is first reordered into the (low, high) basis in the
+// workspace's cached buffer. Then, on sites (q, q+1): move the centre to q,
+// merge the two site tensors directly into the matricized theta layout, fuse
+// the gate in one pass, run the workspace-backed truncation SVD, and write
+// the truncated factors straight into the sites' grow-only buffers — U
+// reshaped into site q, and diag(S)·V† absorbed in place into site q+1 (no
+// ConjTranspose copy, no intermediate Truncate), leaving the centre at q+1.
+func (m *MPS) apply2(g *linalg.Matrix, qa, qb int) {
 	ws := m.workspace()
-	if m.cfg.SkipCanonicalization {
-		m.canonical = false
-	} else {
-		m.moveCenterTo(q)
+	q := qa
+	if qa > qb {
+		g = swapQubitOrderInto(&ws.swap, g)
+		q = qb
 	}
+	m.moveCenterTo(q)
 	a, b := m.Sites[q], m.Sites[q+1] // (l,2,k) and (k,2,r)
 	l, k, r := a.Shape[0], a.Shape[2], b.Shape[2]
 
@@ -176,15 +175,6 @@ func (m *MPS) apply2Engine(g *linalg.Matrix, q int) {
 	m.TruncationError += discarded
 	um, vm := ts.Factors(keep)
 
-	norm2 := 0.0
-	for i := 0; i < keep; i++ {
-		norm2 += ts.S[i] * ts.S[i]
-	}
-	scale := complex(1, 0)
-	if m.cfg.Renormalize && norm2 > 0 {
-		scale = complex(1/math.Sqrt(norm2), 0)
-	}
-
 	// Left site ← U[:, :keep] (left-canonical).
 	us, vs := um.Cols, vm.Cols
 	a.Reuse3(l, 2, keep)
@@ -194,23 +184,22 @@ func (m *MPS) apply2Engine(g *linalg.Matrix, q int) {
 	// Right site ← diag(S)·V† (the centre), absorbed in place.
 	b.Reuse3(keep, 2, r)
 	for i := 0; i < keep; i++ {
-		f := complex(ts.S[i], 0) * scale
+		f := complex(ts.S[i], 0)
 		row := b.Data[i*2*r : (i+1)*2*r]
 		for j := 0; j < 2*r; j++ {
 			v := vm.Data[j*vs+i]
 			row[j] = complex(real(v), -imag(v)) * f
 		}
 	}
-	if m.canonical {
-		m.center = q + 1
-	}
+	m.center = q + 1
 }
 
-// moveCenterToEngine shifts the orthogonality centre with workspace-backed
-// QR/LQ: the Householder factors live in the workspace and the updated site
-// tensors are written back into their own grow-only buffers, so a warm sweep
-// allocates nothing.
-func (m *MPS) moveCenterToEngine(q int) {
+// moveCenterTo shifts the orthogonality centre to site q using QR (moving
+// right) and LQ (moving left) — the canonicalisation step the paper applies
+// before each SVD truncation. The Householder factors live in the workspace
+// and the updated site tensors are written back into their own grow-only
+// buffers, so a warm sweep allocates nothing.
+func (m *MPS) moveCenterTo(q int) {
 	ws := m.workspace()
 	for m.center < q {
 		i := m.center
@@ -249,8 +238,8 @@ func (m *MPS) moveCenterToEngine(q int) {
 }
 
 // swapQubitOrderInto writes the |ab⟩→|ba⟩ basis reordering of a 4×4 gate
-// matrix into the workspace's cached buffer, replacing the fresh
-// linalg.Matrix the allocating path builds per reversed-order gate.
+// matrix into dst (the workspace's cached buffer), so a reversed-order gate
+// allocates nothing.
 func swapQubitOrderInto(dst *linalg.Matrix, g *linalg.Matrix) *linalg.Matrix {
 	dst.Reuse(4, 4)
 	perm := [4]int{0, 2, 1, 3}

@@ -15,10 +15,10 @@ import (
 var engineAnsatz = circuit.Ansatz{Qubits: 8, Layers: 2, Distance: 3, Gamma: 0.8}
 
 // TestFusedEngineMatchesReference is the core equivalence property: the
-// fused zero-realloc engine and the pre-fusion reference path (generic
-// contractions, plain Jacobi SVD, allocating canonicalisation) must produce
-// the same quantum state to tight tolerance — amplitudes, bond structure and
-// truncation accounting.
+// fused zero-realloc engine and the reference chain (generic contractions,
+// plain Jacobi SVD, allocating canonicalisation; reference_test.go) must
+// produce the same quantum state to tight tolerance — amplitudes, bond
+// structure and truncation accounting.
 func TestFusedEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomData(rng, engineAnsatz.Qubits)
@@ -30,8 +30,8 @@ func TestFusedEngineMatchesReference(t *testing.T) {
 	if err := fast.ApplyCircuit(c); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewZeroState(engineAnsatz.Qubits, Config{ReferenceKernels: true})
-	if err := ref.ApplyCircuit(c); err != nil {
+	ref := NewZeroState(engineAnsatz.Qubits, Config{})
+	if err := applyReference(ref, c); err != nil {
 		t.Fatal(err)
 	}
 	// Global-phase-insensitive state comparison: |⟨ref|fast⟩|² ≈ 1.
@@ -50,12 +50,13 @@ func TestFusedEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEngineFlippedGateMatchesReference pins the cached swapQubitOrder
-// buffer: a two-qubit gate listed (high, low) must act identically on both
-// paths, including when single-qubit gates were folded into it.
+// TestEngineFlippedGateMatchesReference pins the cached swapQubitOrderInto
+// buffer: a two-qubit gate listed (high, low) must act identically on the
+// engine and the reference chain, including when single-qubit gates were
+// folded into it.
 func TestEngineFlippedGateMatchesReference(t *testing.T) {
-	build := func(cfg Config) *MPS {
-		m := NewZeroState(3, cfg)
+	build := func(apply func(*MPS, *circuit.Circuit) error) *MPS {
+		m := NewZeroState(3, Config{})
 		c := circuit.New(3)
 		c.MustAppend(circuit.Gate{Name: "H", Qubits: []int{1}, Mat: gates.H()})
 		c.MustAppend(circuit.Gate{Name: "RY", Qubits: []int{2}, Mat: gates.RY(0.4)})
@@ -63,13 +64,13 @@ func TestEngineFlippedGateMatchesReference(t *testing.T) {
 		c.MustAppend(circuit.Gate{Name: "CX", Qubits: []int{2, 1}, Mat: gates.CX()})
 		c.MustAppend(circuit.Gate{Name: "RZ", Qubits: []int{1}, Mat: gates.RZ(0.9)})
 		c.MustAppend(circuit.Gate{Name: "RXX", Qubits: []int{0, 1}, Mat: gates.RXX(1.1)})
-		if err := m.ApplyCircuit(c); err != nil {
+		if err := apply(m, c); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	fast := build(Config{})
-	ref := build(Config{ReferenceKernels: true})
+	fast := build((*MPS).ApplyCircuit)
+	ref := build(applyReference)
 	for idx, want := range ref.ToStateVector() {
 		got := fast.ToStateVector()[idx]
 		if cmplx.Abs(got-want) > 1e-12 {
@@ -215,7 +216,8 @@ func TestWorkspaceSharedAcrossStates(t *testing.T) {
 // between concurrent kernel evaluations, so every read the kernel and the
 // model file make of a state (inner products, overlaps, encoding, amplitude
 // and canonical checks) must leave it bit-identical, and so must gates —
-// centre moves included — applied to a Clone of it.
+// centre moves included — applied to a Clone of it. The clone keeps the
+// centre, so its gates keep it in canonical form.
 func TestReadCloneDoesNotMutateOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := buildAnsatzMPS(t, engineAnsatz, randomData(rng, engineAnsatz.Qubits), Config{})
@@ -241,6 +243,9 @@ func TestReadCloneDoesNotMutateOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := m.Clone()
+	if cl.center != m.center {
+		t.Fatalf("clone centre %d, original %d", cl.center, m.center)
+	}
 	for _, g := range []circuit.Gate{
 		{Name: "RXX", Qubits: []int{0, 1}, Mat: gates.RXX(0.9)},
 		{Name: "H", Qubits: []int{5}, Mat: gates.H()},
@@ -252,6 +257,9 @@ func TestReadCloneDoesNotMutateOriginal(t *testing.T) {
 	}
 	if ov := Overlap(cl, m); ov > 1-1e-6 {
 		t.Fatalf("clone did not diverge: overlap %v", ov)
+	}
+	if err := cl.CheckCanonical(1e-9); err != nil {
+		t.Fatalf("gates on the clone: %v", err)
 	}
 
 	if m.center != centre || m.TruncationError != trunc {

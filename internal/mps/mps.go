@@ -7,9 +7,14 @@
 //
 // The simulator maintains a mixed-canonical invariant: all sites left of the
 // orthogonality centre are left-canonical and all sites right of it are
-// right-canonical. Two-qubit gates first move the centre to the gate
-// position, so every SVD truncation is locally optimal and the discarded
-// weight Σs²ᵢ is exactly the squared-overlap error of equation (8).
+// right-canonical. Every two-qubit gate is one algorithm (footnote 2 of the
+// paper): move the centre to the gate position, contract, then SVD-truncate
+// within the budget — so every truncation is locally optimal and the
+// discarded weight Σs²ᵢ is exactly the squared-overlap error of equation
+// (8). There is one gate path, the fused zero-realloc engine (engine.go).
+// The package tests keep the generic contract → transpose → matricize →
+// Jacobi-SVD chain the engine was derived from as an oracle, and check both
+// against the dense state vector of internal/statevector.
 package mps
 
 import (
@@ -20,7 +25,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/linalg"
-	"repro/internal/tensor"
 )
 
 // DefaultTruncationBudget is the paper's per-truncation error budget: singular
@@ -40,28 +44,13 @@ type Config struct {
 	TruncationBudget float64
 	// MaxBond caps the virtual bond dimension (0 = uncapped). When the cap
 	// binds, truncation error may exceed the budget; the excess is recorded.
+	// States are never renormalised: the paper leaves them unnormalised, and
+	// the norm deficit is the recorded TruncationError.
 	MaxBond int
-	// Renormalize rescales the state to unit norm after each truncation.
-	// The paper leaves states unnormalised (the error is ~1e-16).
-	Renormalize bool
 	// RecordMemory appends a MemSample after every applied gate, feeding the
-	// Fig. 6 memory-evolution experiment.
+	// Fig. 6 memory-evolution experiment; ApplyCircuit then applies gates
+	// one at a time, without single-qubit gate fusion.
 	RecordMemory bool
-	// SkipCanonicalization disables the centre move before each two-qubit
-	// gate. The paper (footnote 2) canonicalises before every SVD truncation
-	// because that makes the truncation optimal and the error identity
-	// (equation (8)) exact; skipping it is provided as an ABLATION ONLY —
-	// truncations become suboptimal and the recorded TruncationError is no
-	// longer a guaranteed bound.
-	SkipCanonicalization bool
-	// ReferenceKernels routes gate application through the original generic
-	// contraction chain (ContractWith → Transpose → Matricize), the plain
-	// one-sided Jacobi SVD and allocating canonicalisation, and disables
-	// single-qubit gate fusion in ApplyCircuit. Provided for metamorphic
-	// testing and ablation: the fused zero-realloc engine must agree with
-	// this path to tight tolerance on state, bond dimensions and truncation
-	// error.
-	ReferenceKernels bool
 }
 
 func (c Config) withDefaults() Config {
@@ -87,17 +76,15 @@ type MemSample struct {
 // virtual bonds have dimension 1.
 type MPS struct {
 	N     int
-	Sites []*tensor.Tensor
+	Sites []*Tensor
 
 	cfg    Config
 	center int // orthogonality centre
-	// canonical records whether the mixed-canonical invariant is known to
-	// hold around centre; false only after gates applied with
-	// SkipCanonicalization.
-	canonical bool
 
-	// TruncationError accumulates the discarded weight Σs²ᵢ over all
-	// truncations — an upper bound on 1−|⟨ψ_ideal|ψ_trunc⟩|² (equation (8)).
+	// TruncationError accumulates the discarded weight Σεₖ over all K
+	// truncations. Each εₖ is that step's squared-overlap error (equation
+	// (8)); over the circuit the errors add in amplitude, so the bound is
+	// ‖ψ_ideal − ψ_trunc‖² ≤ K·Σεₖ, not 1 − fidelity ≤ Σεₖ.
 	TruncationError float64
 	// Ledger holds per-gate memory samples when Config.RecordMemory is set.
 	Ledger []MemSample
@@ -117,28 +104,25 @@ func NewZeroState(n int, cfg Config) *MPS {
 	if n < 1 {
 		panic(fmt.Sprintf("mps: invalid qubit count %d", n))
 	}
-	m := &MPS{N: n, cfg: cfg.withDefaults(), canonical: true}
-	m.Sites = make([]*tensor.Tensor, n)
+	m := &MPS{N: n, cfg: cfg.withDefaults()}
+	m.Sites = make([]*Tensor, n)
 	for i := 0; i < n; i++ {
-		s := tensor.New(1, 2, 1)
+		s := NewTensor(1, 2, 1)
 		s.Set(1, 0, 0, 0)
 		m.Sites[i] = s
 	}
 	return m
 }
 
-// Backend exposes the configured execution backend (for instrumentation).
-func (m *MPS) Backend() backend.Backend { return m.cfg.Backend }
-
 // Clone returns a deep copy sharing no storage; the clone keeps the same
 // configuration and canonical centre.
 func (m *MPS) Clone() *MPS {
 	c := &MPS{
-		N: m.N, cfg: m.cfg, center: m.center, canonical: m.canonical,
+		N: m.N, cfg: m.cfg, center: m.center,
 		TruncationError: m.TruncationError,
 		gatesApplied:    m.gatesApplied,
 	}
-	c.Sites = make([]*tensor.Tensor, m.N)
+	c.Sites = make([]*Tensor, m.N)
 	for i, s := range m.Sites {
 		c.Sites[i] = s.Clone()
 	}
@@ -186,27 +170,14 @@ func (m *MPS) ApplyGate(g circuit.Gate) error {
 	}
 	switch len(g.Qubits) {
 	case 1:
-		m.apply1(g.Mat, g.Qubits[0])
+		// A unitary on the physical bond preserves canonical form, so the
+		// centre is untouched (Fig. 1a).
+		apply1InPlace(m.Sites[g.Qubits[0]], g.Mat.Data)
 	case 2:
-		a, b := g.Qubits[0], g.Qubits[1]
-		d := a - b
-		if d != 1 && d != -1 {
-			return fmt.Errorf("mps: two-qubit gate %q on non-adjacent qubits %d,%d (route the circuit first)", g.Name, a, b)
+		if err := checkAdjacent(g); err != nil {
+			return err
 		}
-		mat := g.Mat
-		if d == 1 {
-			// Gate lists (high, low); reorder the basis to (low, high) —
-			// into the workspace's cached buffer on the engine path, so no
-			// fresh matrix is allocated per reversed-order gate.
-			if m.engineActive() {
-				mat = swapQubitOrderInto(&m.workspace().swap, g.Mat)
-			} else {
-				mat = swapQubitOrder(g.Mat)
-			}
-			a, b = b, a
-		}
-		m.apply2(mat, a)
-		_ = b
+		m.apply2(g.Mat, g.Qubits[0], g.Qubits[1])
 	}
 	m.gatesApplied++
 	if m.cfg.RecordMemory {
@@ -220,19 +191,19 @@ func (m *MPS) ApplyGate(g circuit.Gate) error {
 	return nil
 }
 
-// ApplyCircuit applies every gate of c in order. On the fused engine path
-// (the default), runs of single-qubit gates on the same qubit are coalesced
-// into one 2×2 product and single-qubit gates adjacent to a two-qubit gate
-// are folded into its 4×4 matrix, reducing the number of site updates and
-// SVD+canonicalisation events per circuit. Fusion is legal because a
-// delayed single-qubit gate commutes with every gate on other qubits; it is
-// disabled when per-gate observability is required (RecordMemory's ledger)
-// or when ReferenceKernels pins the pre-fusion semantics.
+// ApplyCircuit applies every gate of c in order. Runs of single-qubit gates
+// on the same qubit are coalesced into one 2×2 product and single-qubit
+// gates adjacent to a two-qubit gate are folded into its 4×4 matrix,
+// reducing the number of site updates and SVD+canonicalisation events per
+// circuit. Fusion is legal because a delayed single-qubit gate commutes with
+// every gate on other qubits; it is disabled when per-gate observability is
+// required (RecordMemory's ledger), which applies the gates one by one
+// through ApplyGate.
 func (m *MPS) ApplyCircuit(c *circuit.Circuit) error {
 	if c.NumQubits != m.N {
 		return fmt.Errorf("mps: circuit on %d qubits applied to %d-qubit state", c.NumQubits, m.N)
 	}
-	if m.cfg.RecordMemory || !m.engineActive() {
+	if m.cfg.RecordMemory {
 		for i, g := range c.Gates {
 			if err := m.ApplyGate(g); err != nil {
 				return fmt.Errorf("mps: gate %d: %w", i, err)
@@ -260,11 +231,11 @@ func (m *MPS) ApplyCircuit(c *circuit.Circuit) error {
 				ws.has[q] = true
 			}
 		case 2:
-			a, b := g.Qubits[0], g.Qubits[1]
-			if d := a - b; d != 1 && d != -1 {
+			if err := checkAdjacent(g); err != nil {
 				m.flushPending(ws)
-				return fmt.Errorf("mps: gate %d: two-qubit gate %q on non-adjacent qubits %d,%d (route the circuit first)", i, g.Name, a, b)
+				return fmt.Errorf("mps: gate %d: %w", i, err)
 			}
+			a, b := g.Qubits[0], g.Qubits[1]
 			mat := g.Mat
 			if ws.has[a] || ws.has[b] {
 				var pa, pb []complex128
@@ -277,15 +248,19 @@ func (m *MPS) ApplyCircuit(c *circuit.Circuit) error {
 				mat = foldInto(&ws.fold, mat, pa, pb)
 				ws.has[a], ws.has[b] = false, false
 			}
-			if a > b {
-				mat = swapQubitOrderInto(&ws.swap, mat)
-				a = b
-			}
-			m.apply2(mat, a)
+			m.apply2(mat, a, b)
 		}
 		m.gatesApplied++
 	}
 	m.flushPending(ws)
+	return nil
+}
+
+// checkAdjacent rejects a two-qubit gate on non-adjacent chain positions.
+func checkAdjacent(g circuit.Gate) error {
+	if d := g.Qubits[0] - g.Qubits[1]; d != 1 && d != -1 {
+		return fmt.Errorf("mps: two-qubit gate %q on non-adjacent qubits %d,%d (route the circuit first)", g.Name, g.Qubits[0], g.Qubits[1])
+	}
 	return nil
 }
 
@@ -297,87 +272,6 @@ func (m *MPS) flushPending(ws *SimWorkspace) {
 			apply1InPlace(m.Sites[q], ws.pending[4*q:4*q+4])
 			ws.has[q] = false
 		}
-	}
-}
-
-// engineActive reports whether the fused zero-realloc engine handles this
-// state's gates; ReferenceKernels pins the reference path.
-func (m *MPS) engineActive() bool {
-	return !m.cfg.ReferenceKernels
-}
-
-// apply1 contracts a single-qubit gate with the site tensor (Fig. 1a). A
-// unitary acting on the physical bond preserves canonical form, so the
-// centre is untouched. The engine path mixes the two physical slabs of the
-// site buffer in place; the reference path keeps the original generic
-// contraction.
-func (m *MPS) apply1(g *linalg.Matrix, q int) {
-	if m.engineActive() {
-		apply1InPlace(m.Sites[q], g.Data)
-		return
-	}
-	site := m.Sites[q] // (l, 2, r)
-	gt := tensor.FromData(g.Data, 2, 2)
-	// out[l, r, s_out] = Σ_s site[l, s, r] · g[s_out, s]
-	out := tensor.ContractWith(site, gt, []int{1}, []int{1}, m.cfg.Backend.MatMul)
-	m.Sites[q] = out.Transpose(0, 2, 1)
-}
-
-// apply2 applies a two-qubit gate on sites (q, q+1) with the matrix in
-// (low, high) basis order (Fig. 1b): move the centre to q, merge the two
-// sites, contract with the gate, SVD, truncate against the budget, and split
-// back, leaving the centre at q+1. The engine path (apply2Engine) fuses the
-// merge/gate/matricize chain and reuses workspace and site buffers; this
-// reference path materialises every intermediate.
-func (m *MPS) apply2(g *linalg.Matrix, q int) {
-	if m.engineActive() {
-		m.apply2Engine(g, q)
-		return
-	}
-	if m.cfg.SkipCanonicalization {
-		m.canonical = false
-	} else {
-		m.moveCenterTo(q)
-	}
-
-	a, b := m.Sites[q], m.Sites[q+1]                                              // (l,2,k) and (k,2,r)
-	merged := tensor.ContractWith(a, b, []int{2}, []int{0}, m.cfg.Backend.MatMul) // (l, s_q, s_q1, r)
-	gt := tensor.FromData(g.Data, 2, 2, 2, 2)                                     // (o_q, o_q1, i_q, i_q1)
-	// out[l, r, o_q, o_q1] = Σ merged[l, i_q, i_q1, r] · gt[o_q, o_q1, i_q, i_q1]
-	out := tensor.ContractWith(merged, gt, []int{1, 2}, []int{2, 3}, m.cfg.Backend.MatMul)
-	theta := out.Transpose(0, 2, 3, 1) // (l, o_q, o_q1, r)
-
-	l := theta.Shape[0]
-	r := theta.Shape[3]
-	mat := theta.Matricize(0, 1) // (l·2, 2·r)
-	res := linalg.SVD(mat)
-
-	keep, discarded := m.truncationCut(res.S)
-	tr, _ := res.Truncate(keep)
-	m.TruncationError += discarded
-
-	norm2 := 0.0
-	for _, s := range tr.S {
-		norm2 += s * s
-	}
-	scale := complex(1, 0)
-	if m.cfg.Renormalize && norm2 > 0 {
-		scale = complex(1/math.Sqrt(norm2), 0)
-	}
-
-	// Left site ← U (left-canonical); right site ← diag(S)·V† (the centre).
-	m.Sites[q] = tensor.FromData(tr.U.Data, l, 2, keep)
-	sv := tr.V.ConjTranspose() // (keep, 2·r)
-	for i := 0; i < keep; i++ {
-		f := complex(tr.S[i], 0) * scale
-		row := sv.Row(i)
-		for j := range row {
-			row[j] *= f
-		}
-	}
-	m.Sites[q+1] = tensor.FromData(sv.Data, keep, 2, r)
-	if m.canonical {
-		m.center = q + 1
 	}
 }
 
@@ -408,43 +302,6 @@ func (m *MPS) truncationCut(s []float64) (int, float64) {
 		keep = 1
 	}
 	return keep, discarded
-}
-
-// moveCenterTo shifts the orthogonality centre to site q using QR (moving
-// right) and LQ (moving left) — the canonicalisation step the paper applies
-// before each SVD truncation. The engine path holds the Householder factors
-// in the workspace and rewrites site buffers in place; the reference path
-// builds fresh tensors per step.
-func (m *MPS) moveCenterTo(q int) {
-	if m.engineActive() {
-		m.moveCenterToEngine(q)
-		return
-	}
-	for m.center < q {
-		i := m.center
-		site := m.Sites[i] // (l,2,r)
-		qt, rt := tensor.QRDecompose(site, []int{0, 1})
-		m.Sites[i] = qt // (l,2,k) left-canonical
-		// Absorb R into the next site: next'[k,2,r'] = Σ R[k,j]·next[j,2,r'].
-		m.Sites[i+1] = tensor.ContractWith(rt, m.Sites[i+1], []int{1}, []int{0}, m.cfg.Backend.MatMul)
-		m.center++
-	}
-	for m.center > q {
-		i := m.center
-		site := m.Sites[i] // (l,2,r)
-		lt, qt := tensor.LQDecompose(site, []int{0})
-		m.Sites[i] = qt // (k,2,r) right-canonical
-		prev := m.Sites[i-1]
-		m.Sites[i-1] = tensor.ContractWith(prev, lt, []int{2}, []int{0}, m.cfg.Backend.MatMul)
-		m.center--
-	}
-}
-
-// swapQubitOrder reorders a 4×4 two-qubit matrix from basis |ab⟩ to |ba⟩
-// into a fresh matrix (the engine path reuses a workspace buffer through
-// swapQubitOrderInto, the single source of the permutation).
-func swapQubitOrder(g *linalg.Matrix) *linalg.Matrix {
-	return swapQubitOrderInto(linalg.NewMatrix(4, 4), g)
 }
 
 // Norm returns ‖ψ‖; 1 for unitary circuits up to truncation error.
@@ -479,21 +336,21 @@ func (m *MPS) Amplitude(bits []int) complex128 {
 	return vec.At(0, 0)
 }
 
-// ToStateVector reconstructs the dense 2^N amplitude vector (small N only);
-// the paper notes this pairwise contraction yields the full state.
+// ToStateVector reconstructs the dense 2^N amplitude vector (small N only,
+// qubit 0 most significant); the paper notes this pairwise contraction
+// yields the full state. The (2^k × χ) prefix is multiplied by each site's
+// (χ × 2χ′) matricization in turn, one pass over the chain.
 func (m *MPS) ToStateVector() []complex128 {
 	if m.N > 20 {
 		panic("mps: ToStateVector is for small qubit counts only")
 	}
-	amps := make([]complex128, 1<<uint(m.N))
-	bits := make([]int, m.N)
-	for idx := range amps {
-		for q := 0; q < m.N; q++ {
-			bits[q] = (idx >> uint(m.N-1-q)) & 1
-		}
-		amps[idx] = m.Amplitude(bits)
+	vec := linalg.FromSlice(1, 1, []complex128{1})
+	for _, s := range m.Sites {
+		l, r := s.Shape[0], s.Shape[2]
+		next := linalg.MatMul(vec, linalg.FromSlice(l, 2*r, s.Data))
+		vec = linalg.FromSlice(2*vec.Rows, r, next.Data)
 	}
-	return amps
+	return vec.Data
 }
 
 // GatesApplied returns how many gates have been applied so far.
@@ -504,13 +361,15 @@ func (m *MPS) GatesApplied() int { return m.gatesApplied }
 // right-canonical. Returns an error describing the first violation.
 func (m *MPS) CheckCanonical(tol float64) error {
 	for i := 0; i < m.center; i++ {
-		mm := m.Sites[i].Matricize(0, 1) // (l·2, r)
+		s := m.Sites[i]
+		mm := linalg.FromSlice(2*s.Shape[0], s.Shape[2], s.Data) // (l·2, r)
 		if !mm.IsUnitary(tol) {
 			return fmt.Errorf("mps: site %d left of centre %d is not left-canonical", i, m.center)
 		}
 	}
 	for i := m.center + 1; i < m.N; i++ {
-		mm := m.Sites[i].Matricize(0) // (l, 2·r) — rows orthonormal
+		s := m.Sites[i]
+		mm := linalg.FromSlice(s.Shape[0], 2*s.Shape[2], s.Data) // (l, 2·r) — rows orthonormal
 		if !mm.ConjTranspose().IsUnitary(tol) {
 			return fmt.Errorf("mps: site %d right of centre %d is not right-canonical", i, m.center)
 		}

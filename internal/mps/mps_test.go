@@ -235,16 +235,6 @@ func TestMaxBondCap(t *testing.T) {
 	}
 }
 
-func TestRenormalizeOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	a := circuit.Ansatz{Qubits: 8, Layers: 2, Distance: 3, Gamma: 0.5}
-	x := randomData(rng, 8)
-	m := buildAnsatzMPS(t, a, x, Config{MaxBond: 2, Renormalize: true})
-	if math.Abs(m.Norm()-1) > 1e-9 {
-		t.Fatalf("renormalised state has norm %v", m.Norm())
-	}
-}
-
 func TestDisableTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	a := circuit.Ansatz{Qubits: 6, Layers: 1, Distance: 2, Gamma: 0.5}
@@ -441,7 +431,11 @@ func TestUnmarshalOneSlab(t *testing.T) {
 		{"bond32_10q", circuit.Ansatz{Qubits: 10, Layers: 2, Distance: 4, Gamma: 1.0}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			blob, err := buildAnsatzMPS(t, c.a, randomData(rng, c.a.Qubits), Config{}).MarshalBinary()
+			// The centre is moved mid-chain before encoding, where a gate
+			// can grow the bond; the decoded state keeps it there.
+			st := buildAnsatzMPS(t, c.a, randomData(rng, c.a.Qubits), Config{})
+			st.moveCenterTo(st.N/2 - 1)
+			blob, err := st.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -456,8 +450,9 @@ func TestUnmarshalOneSlab(t *testing.T) {
 				t.Fatalf("decoding a %d-site state allocates %.0f times, want ≤ 5", c.a.Qubits, allocs)
 			}
 
-			// Without the centre move the gate touches its two sites only.
-			m, err := UnmarshalBinary(blob, Config{SkipCanonicalization: true})
+			// At the decoded centre the gate needs no centre move, so it
+			// touches its two sites only.
+			m, err := UnmarshalBinary(blob, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -468,7 +463,7 @@ func TestUnmarshalOneSlab(t *testing.T) {
 				}
 				before[i] = append([]complex128(nil), s.Data...)
 			}
-			q := m.N/2 - 1
+			q := m.center
 			width := len(m.Sites[q].Data)
 			if err := m.ApplyGate(circuit.Gate{Name: "SWAP", Qubits: []int{q, q + 1}, Mat: gates.SWAP()}); err != nil {
 				t.Fatal(err)

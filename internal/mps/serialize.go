@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // magic identifies serialised MPS payloads; guards against feeding arbitrary
@@ -96,8 +94,8 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 	}
 
 	m := &MPS{N: int(n), cfg: cfg.withDefaults(), center: int(center), TruncationError: truncErr}
-	m.Sites = make([]*tensor.Tensor, n)
-	sites := make([]tensor.Tensor, n)
+	m.Sites = make([]*Tensor, n)
+	sites := make([]Tensor, n)
 	shapes := make([]int, 3*n)
 	slab := make([]complex128, entries)
 	rest = body
@@ -114,7 +112,7 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 		rest = rest[16*size:]
 		shape := shapes[3*i : 3*i+3 : 3*i+3]
 		shape[0], shape[1], shape[2] = l, 2, rr
-		sites[i] = tensor.Tensor{Shape: shape, Data: site}
+		sites[i] = Tensor{Shape: shape, Data: site}
 		m.Sites[i] = &sites[i]
 	}
 	return m, nil

@@ -1,4 +1,4 @@
-package tensor
+package mps
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 )
 
 func randomTensor(rng *rand.Rand, shape ...int) *Tensor {
-	t := New(shape...)
+	t := NewTensor(shape...)
 	for i := range t.Data {
 		t.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
@@ -18,7 +18,7 @@ func randomTensor(rng *rand.Rand, shape ...int) *Tensor {
 }
 
 func TestNewAndSize(t *testing.T) {
-	tt := New(2, 3, 4)
+	tt := NewTensor(2, 3, 4)
 	if tt.Rank() != 3 || tt.Size() != 24 || tt.Bytes() != 24*16 {
 		t.Fatalf("rank=%d size=%d bytes=%d", tt.Rank(), tt.Size(), tt.Bytes())
 	}
@@ -27,18 +27,18 @@ func TestNewAndSize(t *testing.T) {
 // TestScalar: a tensor with no bonds is a scalar holding one entry — the
 // shape a full contraction returns.
 func TestScalar(t *testing.T) {
-	s := New()
+	s := NewTensor()
 	if s.Rank() != 0 || s.Size() != 1 || len(s.Data) != 1 {
 		t.Fatalf("rank-0 tensor wrong: %v", s)
 	}
-	w := FromData([]complex128{2 + 3i})
+	w := tensorFromData([]complex128{2 + 3i})
 	if w.Rank() != 0 || w.Size() != 1 || w.Data[0] != 2+3i {
 		t.Fatalf("rank-0 wrap wrong: %v", w)
 	}
 }
 
 func TestAtSetRowMajorOrder(t *testing.T) {
-	tt := New(2, 3)
+	tt := NewTensor(2, 3)
 	tt.Set(7i, 1, 2)
 	if tt.Data[1*3+2] != 7i {
 		t.Fatal("last axis should vary fastest (row-major)")
@@ -49,7 +49,7 @@ func TestAtSetRowMajorOrder(t *testing.T) {
 }
 
 func TestAtBoundsPanics(t *testing.T) {
-	tt := New(2, 2)
+	tt := NewTensor(2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -59,7 +59,7 @@ func TestAtBoundsPanics(t *testing.T) {
 }
 
 func TestAtRankMismatchPanics(t *testing.T) {
-	tt := New(2, 2)
+	tt := NewTensor(2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -69,11 +69,12 @@ func TestAtRankMismatchPanics(t *testing.T) {
 }
 
 // TestReshapeSharesStorage: the paper's equation (7) reshape is a row-major
-// reinterpretation of the same storage; the simulator performs it by wrapping
-// a buffer with FromData under the new shape, which must alias, not copy.
+// reinterpretation of the same storage; the reference chain performs it by
+// wrapping a buffer with tensorFromData under the new shape, which must
+// alias, not copy.
 func TestReshapeSharesStorage(t *testing.T) {
-	tt := New(2, 6)
-	r := FromData(tt.Data, 3, 4)
+	tt := NewTensor(2, 6)
+	r := tensorFromData(tt.Data, 3, 4)
 	r.Set(5, 2, 3)
 	if tt.Data[11] != 5 || tt.At(1, 5) != 5 {
 		t.Fatal("reshape should alias storage")
@@ -86,11 +87,11 @@ func TestReshapeVolumeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	FromData(New(2, 3).Data, 4, 2)
+	tensorFromData(NewTensor(2, 3).Data, 4, 2)
 }
 
 func TestTransposeKnown(t *testing.T) {
-	tt := New(2, 3)
+	tt := NewTensor(2, 3)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
 			tt.Set(complex(float64(10*i+j), 0), i, j)
@@ -128,7 +129,7 @@ func TestTransposeRank3(t *testing.T) {
 }
 
 func TestTransposeInvalidPermPanics(t *testing.T) {
-	tt := New(2, 2)
+	tt := NewTensor(2, 2)
 	for _, perm := range [][]int{{0}, {0, 0}, {0, 2}} {
 		func() {
 			defer func() {
@@ -164,7 +165,7 @@ func TestPropertyTransposeRoundTrip(t *testing.T) {
 }
 
 func TestConj(t *testing.T) {
-	tt := FromData([]complex128{1 + 2i, -3i}, 2)
+	tt := tensorFromData([]complex128{1 + 2i, -3i}, 2)
 	c := tt.Conj()
 	if c.Data[0] != 1-2i || c.Data[1] != 3i {
 		t.Fatalf("Conj wrong: %v", c.Data)
@@ -172,7 +173,7 @@ func TestConj(t *testing.T) {
 }
 
 func TestNorm(t *testing.T) {
-	tt := FromData([]complex128{3, 4i}, 2)
+	tt := tensorFromData([]complex128{3, 4i}, 2)
 	if math.Abs(tt.Norm()-5) > 1e-12 {
 		t.Fatalf("Norm = %v", tt.Norm())
 	}
@@ -209,14 +210,14 @@ func TestMatricizeDuplicateAxisPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2, 2).Matricize(0, 0)
+	NewTensor(2, 2).Matricize(0, 0)
 }
 
 // TestFromMatrixRoundTrip: a row-major matrix wrapped as a rank-2 tensor (as
-// the reference path does with gate matrices) keeps its layout and storage.
+// the reference chain does with gate matrices) keeps its layout and storage.
 func TestFromMatrixRoundTrip(t *testing.T) {
 	m := linalg.FromSlice(2, 2, []complex128{1, 2, 3, 4})
-	tt := FromData(m.Data, m.Rows, m.Cols)
+	tt := tensorFromData(m.Data, m.Rows, m.Cols)
 	if tt.At(1, 0) != 3 || tt.At(0, 1) != 2 {
 		t.Fatal("matrix-to-tensor layout mismatch")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/circuit"
-	"repro/internal/tensor"
 )
 
 // TestWorkspaceInnerMatchesInner: the workspace path and the allocating path
@@ -59,14 +58,14 @@ func TestWorkspaceHonoursParallelBackend(t *testing.T) {
 		{Qubits: 8, Layers: 2, Distance: 2, Gamma: 0.6},
 		{Qubits: 8, Layers: 2, Distance: 1, Gamma: 0.1},
 	} {
-		cfg := Config{Backend: backend.NewParallel(2)}
-		m1 := buildAnsatzMPS(t, a, randomData(rng, 8), cfg)
-		m2 := buildAnsatzMPS(t, a, randomData(rng, 8), cfg)
-		before := m1.Backend().Stats().Snapshot().MatMulOps
+		be := backend.NewParallel(2)
+		m1 := buildAnsatzMPS(t, a, randomData(rng, 8), Config{Backend: be})
+		m2 := buildAnsatzMPS(t, a, randomData(rng, 8), Config{Backend: be})
+		before := be.Stats().Snapshot().MatMulOps
 		if got, want := NewWorkspace().Inner(m1, m2), Inner(m1, m2); got != want {
 			t.Fatalf("χ=%d: workspace inner %v differs from %v under parallel backend", m1.MaxBond(), got, want)
 		}
-		if after := m1.Backend().Stats().Snapshot().MatMulOps; after == before {
+		if after := be.Stats().Snapshot().MatMulOps; after == before {
 			t.Fatalf("χ=%d: workspace bypassed the configured parallel backend", m1.MaxBond())
 		}
 	}
@@ -111,7 +110,7 @@ func TestWorkspaceZeroAllocs(t *testing.T) {
 // exact zero, so the general kernels' zero-operand skip is exercised.
 func chainFromBonds(rng *rand.Rand, bonds []int) *MPS {
 	n := len(bonds) + 1
-	m := &MPS{N: n, cfg: Config{}.withDefaults(), Sites: make([]*tensor.Tensor, n)}
+	m := &MPS{N: n, cfg: Config{}.withDefaults(), Sites: make([]*Tensor, n)}
 	for i := range m.Sites {
 		l, r := 1, 1
 		if i > 0 {
@@ -126,7 +125,7 @@ func chainFromBonds(rng *rand.Rand, bonds []int) *MPS {
 				data[j] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
 		}
-		m.Sites[i] = tensor.FromData(data, l, 2, r)
+		m.Sites[i] = tensorFromData(data, l, 2, r)
 	}
 	return m
 }
@@ -174,7 +173,7 @@ func TestWorkspaceInnerMixedBondChains(t *testing.T) {
 func TestWorkspaceInnerBasisStatesAtBond2(t *testing.T) {
 	const n = 6
 	basis := func(bits int) *MPS {
-		m := &MPS{N: n, cfg: Config{}.withDefaults(), Sites: make([]*tensor.Tensor, n)}
+		m := &MPS{N: n, cfg: Config{}.withDefaults(), Sites: make([]*Tensor, n)}
 		for i := range m.Sites {
 			l, r := 2, 2
 			if i == 0 {
@@ -183,7 +182,7 @@ func TestWorkspaceInnerBasisStatesAtBond2(t *testing.T) {
 			if i == n-1 {
 				r = 1
 			}
-			site := tensor.New(l, 2, r)
+			site := NewTensor(l, 2, r)
 			site.Data[(bits>>i&1)*r] = 1 // [0, s, 0] = 1 for s = bit i
 			m.Sites[i] = site
 		}

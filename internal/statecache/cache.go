@@ -49,7 +49,7 @@ import (
 // entryOverheadBytes approximates the bookkeeping cost per resident entry
 // (map bucket share, list element, cache entry and MPS header) and
 // siteOverheadBytes the headers each site adds beside its payload (the
-// *tensor.Tensor, its Shape array and its slot in MPS.Sites); both are
+// *mps.Tensor, its Shape array and its slot in MPS.Sites); both are
 // charged against the budget on top of the tensor payload.
 const (
 	entryOverheadBytes = 256
