@@ -134,12 +134,18 @@ func (a Ansatz) Build(x []float64) (*Circuit, error) {
 	return c, nil
 }
 
-// BuildRouted is Build followed by Route: the returned circuit contains only
-// nearest-neighbour two-qubit gates and is directly simulable as an MPS.
+// BuildRouted returns the circuit Route(Build(x)) returns — only
+// nearest-neighbour two-qubit gates, directly simulable as an MPS — through
+// the one routed construction path: Compile, then Bind into a fresh circuit.
+// Callers simulating many rows compile once and Bind each row instead.
 func (a Ansatz) BuildRouted(x []float64) (*Circuit, error) {
-	c, err := a.Build(x)
+	p, err := Compile(a)
 	if err != nil {
 		return nil, err
 	}
-	return Route(c), nil
+	c := New(a.Qubits)
+	if err := p.Bind(x, c); err != nil {
+		return nil, err
+	}
+	return c, nil
 }

@@ -58,6 +58,12 @@ func (g Gate) Validate(numQubits int) error {
 type Circuit struct {
 	NumQubits int
 	Gates     []Gate
+
+	// boundBy is the Program whose last Bind wrote this circuit, and own
+	// the RZ/RXX matrices that Bind carved for it (reused by the next Bind
+	// from the same program).
+	boundBy *Program
+	own     []linalg.Matrix
 }
 
 // New returns an empty circuit over n qubits.

@@ -34,13 +34,37 @@ import (
 // shard them; rows with non-finite features clamp to each cut's cap (they
 // will fail the simulator's validation regardless of where they land).
 func EstimateRowCost(a circuit.Ansatz, x []float64) float64 {
+	return newRowCoster(a).cost(x)
+}
+
+// rowCoster is EstimateRowCost with the per-ansatz work hoisted out of the
+// per-row loop: the interaction edges and the per-cut scratch are made once
+// per sharding call, not once per row.
+type rowCoster struct {
+	a      circuit.Ansatz
+	edges  [][2]int
+	logChi []float64 // one entry per virtual-bond cut
+}
+
+func newRowCoster(a circuit.Ansatz) *rowCoster {
+	rc := &rowCoster{a: a}
+	if a.Qubits >= 2 {
+		rc.edges, rc.logChi = a.Edges(), make([]float64, a.Qubits-1)
+	}
+	return rc
+}
+
+// cost is EstimateRowCost(rc.a, x).
+func (rc *rowCoster) cost(x []float64) float64 {
+	a := rc.a
 	m := a.Qubits
 	if m < 2 || len(x) != m {
 		return 1
 	}
 	layers := float64(a.Layers)
-	logChi := make([]float64, m-1) // one entry per virtual-bond cut
-	for _, e := range a.Edges() {
+	logChi := rc.logChi
+	clear(logChi)
+	for _, e := range rc.edges {
 		growth := layers * math.Log2(1+math.Abs(math.Sin(a.EntanglingTheta(x, e[0], e[1])/2)))
 		// Edge (i,j) crosses the cuts between qubits i..j−1 and j.
 		for c := e[0]; c < e[1]; c++ {
@@ -74,8 +98,9 @@ func EstimateRowCost(a circuit.Ansatz, x []float64) float64 {
 func costBalancedIndices(a circuit.Ansatz, X [][]float64, k int) [][]int {
 	costs := make([]float64, len(X))
 	order := make([]int, len(X))
+	rc := newRowCoster(a)
 	for i, x := range X {
-		costs[i] = EstimateRowCost(a, x)
+		costs[i] = rc.cost(x)
 		order[i] = i
 	}
 	sort.SliceStable(order, func(p, q int) bool { return costs[order[p]] > costs[order[q]] })

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -181,5 +182,73 @@ func TestBalancedReducesSimTimeSkew(t *testing.T) {
 	}
 	if balanced >= naive {
 		t.Fatalf("cost balancing did not reduce sim-time skew: balanced %.2f vs naive %.2f", balanced, naive)
+	}
+}
+
+// estimateRowCostPerRow is EstimateRowCost as it was before the ansatz work
+// was hoisted out of the per-row loop: edges and cut scratch made per row.
+func estimateRowCostPerRow(a circuit.Ansatz, x []float64) float64 {
+	m := a.Qubits
+	if m < 2 || len(x) != m {
+		return 1
+	}
+	layers := float64(a.Layers)
+	logChi := make([]float64, m-1)
+	for _, e := range a.Edges() {
+		growth := layers * math.Log2(1+math.Abs(math.Sin(a.EntanglingTheta(x, e[0], e[1])/2)))
+		for c := e[0]; c < e[1]; c++ {
+			logChi[c] += growth
+		}
+	}
+	var total float64
+	for c, lc := range logChi {
+		capLog := float64(c + 1)
+		if right := float64(m - 1 - c); right < capLog {
+			capLog = right
+		}
+		if lc > capLog || math.IsNaN(lc) {
+			lc = capLog
+		}
+		total += math.Exp2(3 * lc)
+	}
+	if math.IsNaN(total) || math.IsInf(total, 0) || total <= 0 {
+		return 1
+	}
+	return total
+}
+
+// TestRowCosterMatchesPerRowForm: one rowCoster reused across rows (its
+// scratch cleared per row) gives every row the cost the per-row form gives,
+// ==, including wrong-width and non-finite rows; EstimateRowCost agrees too.
+func TestRowCosterMatchesPerRowForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, a := range []circuit.Ansatz{
+		{Qubits: 1, Layers: 1, Distance: 1, Gamma: 0.5},
+		{Qubits: 8, Layers: 2, Distance: 2, Gamma: 0.7},
+		{Qubits: 16, Layers: 3, Distance: 4, Gamma: 1.2},
+		{Qubits: 64, Layers: 2, Distance: 1, Gamma: 0.1},
+	} {
+		rc := newRowCoster(a)
+		for r := 0; r < 50; r++ {
+			x := make([]float64, a.Qubits)
+			for i := range x {
+				x[i] = 2 * rng.Float64()
+			}
+			switch r {
+			case 10:
+				x = x[:len(x)/2]
+			case 20:
+				x[len(x)-1] = math.NaN()
+			case 30:
+				x[0] = math.Inf(1)
+			}
+			want := estimateRowCostPerRow(a, x)
+			if got := rc.cost(x); got != want {
+				t.Fatalf("%+v row %d: cost %v, per-row form %v", a, r, got, want)
+			}
+			if got := EstimateRowCost(a, x); got != want {
+				t.Fatalf("%+v row %d: EstimateRowCost %v, per-row form %v", a, r, got, want)
+			}
+		}
 	}
 }

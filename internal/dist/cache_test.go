@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/kernel"
@@ -182,6 +184,51 @@ func TestCachedRaceStress(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentCrossStatesShareIdleWorkspaces: two inference calls running
+// at once draw their per-worker workspaces from the same process-wide idle
+// sets, and each still returns the kernel a lone call returns, ==. Run
+// under -race, this checks that no workspace is handed to two calls.
+func TestConcurrentCrossStatesShareIdleWorkspaces(t *testing.T) {
+	train := testData(t, 8, 6)
+	tests := [][][]float64{testData(t, 14, 6)[8:], testData(t, 20, 6)[14:]}
+	q := testKernel(6)
+	gramRes, err := ComputeGram(q, train, Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]float64, len(tests))
+	for i, test := range tests {
+		res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Gram
+	}
+	for round := 0; round < 4; round++ {
+		got := make([][][]float64, len(tests))
+		errs := make([]error, len(tests))
+		var wg sync.WaitGroup
+		for i, test := range tests {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: 2})
+				if err == nil {
+					got[i] = res.Gram
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for i := range tests {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			checkIdentical(t, fmt.Sprintf("round %d call %d", round, i), want[i], got[i])
 		}
 	}
 }

@@ -40,6 +40,7 @@ func crossProcLocal(q *kernel.Quantum, testX [][]float64, trainStates []*mps.MPS
 		return nil
 	}
 	pl := procPool(q, k)
+	defer pl.release()
 	sp.SetAttr("test_rows", len(ownedTest))
 
 	testStates := make([]*mps.MPS, len(ownedTest))

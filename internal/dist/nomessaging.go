@@ -43,6 +43,7 @@ func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 		return nil
 	}
 	pl := procPool(q, k)
+	defer pl.release()
 
 	// Phase 1: materialise every state from the first owned row onward —
 	// row i needs every column j ≥ i.

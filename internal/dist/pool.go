@@ -16,21 +16,21 @@ import (
 // cores available inside one node of the cluster.
 type pool struct {
 	workers int
-	// ws holds one overlap workspace per worker slot, created lazily and
-	// reused across every runWS call of the process's lifetime (a
-	// round-robin Gram makes one call per ring step; re-warming buffers
-	// each step would forfeit the zero-realloc property).
-	ws []*mps.Workspace
-	// sim holds one gate-engine workspace per worker slot, threaded through
-	// the shard materialisation loops so cache misses simulate through
-	// warmed zero-realloc buffers.
+	// ws holds one overlap workspace per worker slot and sim one gate-engine
+	// workspace (with its bound circuit and scratch state) per slot. Each is
+	// acquired on first use from mps's process-wide idle set, reused across every
+	// call the pool makes (a round-robin Gram makes one runWS call per ring
+	// step) and given back by release when the caller is done, so the next
+	// Gram or served batch starts from warmed buffers instead of re-growing
+	// them.
+	ws  []*mps.Workspace
 	sim []*mps.SimWorkspace
 }
 
 // procPool sizes a process's worker pool: the k simulated processes share
 // the physical machine, so each gets an equal slice of the kernel's
 // concurrency bound (Quantum.Workers, defaulting to GOMAXPROCS), at least
-// one worker.
+// one worker. The caller must release it when its last call has returned.
 func procPool(q *kernel.Quantum, k int) pool {
 	total := q.Workers
 	if total <= 0 {
@@ -43,29 +43,40 @@ func procPool(q *kernel.Quantum, k int) pool {
 	return pool{workers: w, ws: make([]*mps.Workspace, w), sim: make([]*mps.SimWorkspace, w)}
 }
 
-// workspace returns worker slot g's reusable workspace. runWS calls never
-// overlap in time for one pool and each slot is touched by one goroutine
-// per call, so lazy creation is race-free.
+// workspace returns worker slot g's overlap workspace. Calls on one pool
+// never overlap in time and each slot is touched by one goroutine per call,
+// so lazy drawing is race-free.
 func (pl pool) workspace(g int) *mps.Workspace {
-	if pl.ws == nil {
-		return mps.NewWorkspace()
-	}
 	if pl.ws[g] == nil {
-		pl.ws[g] = mps.NewWorkspace()
+		pl.ws[g] = mps.AcquireWorkspace()
 	}
 	return pl.ws[g]
 }
 
-// simWorkspace returns worker slot g's reusable gate-engine workspace,
-// under the same single-goroutine-per-slot discipline as workspace.
+// simWorkspace returns worker slot g's gate-engine workspace, under the same
+// single-goroutine-per-slot discipline as workspace.
 func (pl pool) simWorkspace(g int) *mps.SimWorkspace {
-	if pl.sim == nil {
-		return mps.NewSimWorkspace()
-	}
 	if pl.sim[g] == nil {
-		pl.sim[g] = mps.NewSimWorkspace()
+		pl.sim[g] = mps.AcquireSimWorkspace()
 	}
 	return pl.sim[g]
+}
+
+// release gives every workspace the pool acquired back to the process-wide
+// idle sets. The pool must not be used afterwards.
+func (pl pool) release() {
+	for g, w := range pl.ws {
+		if w != nil {
+			w.Release()
+			pl.ws[g] = nil
+		}
+	}
+	for g, w := range pl.sim {
+		if w != nil {
+			w.Release()
+			pl.sim[g] = nil
+		}
+	}
 }
 
 // runWS runs f(i) for every i in [0,n) with a private overlap workspace

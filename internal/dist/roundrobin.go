@@ -55,6 +55,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	p := st.Rank
 	owned := assign[p]
 	pl := procPool(q, k)
+	defer pl.release()
 	sp.SetAttr("rows", len(owned))
 
 	// Phase 1: materialise the local shard (simulating on cache misses),

@@ -41,8 +41,16 @@ func Z() *linalg.Matrix {
 // The ansatz applies e^{−iγ·x_i·Z} on qubit i for the HZ Hamiltonian of
 // equation (4), which equals RZ(2γx_i).
 func RZ(theta float64) *linalg.Matrix {
+	m := linalg.NewMatrix(2, 2)
+	SetRZ(m.Data, theta)
+	return m
+}
+
+// SetRZ writes every entry of RZ(θ) into d (row-major, length 4): the one
+// place RZ's entries are computed, shared by RZ and by circuit.Program.Bind.
+func SetRZ(d []complex128, theta float64) {
 	e := cmplx.Exp(complex(0, -theta/2))
-	return linalg.FromSlice(2, 2, []complex128{e, 0, 0, cmplx.Conj(e)})
+	d[0], d[1], d[2], d[3] = e, 0, 0, cmplx.Conj(e)
 }
 
 // RX returns exp(−iθX/2).
@@ -59,14 +67,23 @@ func RX(theta float64) *linalg.Matrix {
 // Since X⊗X swaps |00⟩↔|11⟩ and |01⟩↔|10⟩, the matrix couples those pairs
 // with cos/−i·sin entries.
 func RXX(theta float64) *linalg.Matrix {
+	m := linalg.NewMatrix(4, 4)
+	SetRXX(m.Data, theta)
+	return m
+}
+
+// SetRXX writes every entry of RXX(θ) into d (row-major, length 16): the one
+// place RXX's entries are computed, shared by RXX and by
+// circuit.Program.Bind.
+func SetRXX(d []complex128, theta float64) {
 	c := complex(math.Cos(theta/2), 0)
 	s := complex(0, -math.Sin(theta/2))
-	return linalg.FromSlice(4, 4, []complex128{
+	*(*[16]complex128)(d) = [16]complex128{
 		c, 0, 0, s,
 		0, c, s, 0,
 		0, s, c, 0,
 		s, 0, 0, c,
-	})
+	}
 }
 
 // SWAP returns the two-qubit SWAP gate. Routing (section II-C) inserts

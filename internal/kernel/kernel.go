@@ -42,6 +42,30 @@ type Quantum struct {
 	// cache are shared — callers must treat them as read-only, which every
 	// consumer in this repository does (overlaps and serialisation only).
 	Cache *statecache.Cache
+
+	// prog is Ansatz compiled (circuit.Compile), keyed by the Ansatz value
+	// it was compiled from so a reassigned Ansatz recompiles.
+	prog atomic.Pointer[compiled]
+}
+
+// compiled is one Compile result and the ansatz it came from.
+type compiled struct {
+	a   circuit.Ansatz
+	p   *circuit.Program
+	err error
+}
+
+// program returns the compiled feature map of q.Ansatz, compiling it on
+// first use and again whenever Ansatz has been reassigned since. Concurrent
+// first uses may each compile; they compile the same program.
+func (q *Quantum) program() (*circuit.Program, error) {
+	c := q.prog.Load()
+	if c == nil || c.a != q.Ansatz {
+		p, err := circuit.Compile(q.Ansatz)
+		c = &compiled{a: q.Ansatz, p: p, err: err}
+		q.prog.Store(c)
+	}
+	return c.p, c.err
 }
 
 func (q *Quantum) workers() int {
@@ -73,27 +97,28 @@ func (q *Quantum) Fingerprint() string {
 		be, math.Float64bits(tb), q.Config.MaxBond, q.Config.RecordMemory)
 }
 
-// simulate runs the feature-map circuit for one data point unconditionally.
-// sw, when non-nil, is the caller-owned gate-engine workspace threaded
-// through the simulation so buffers warmed by earlier rows are reused; it is
-// detached before the state is returned (and possibly shared via the cache).
+// simulate runs the feature-map circuit for one data point unconditionally:
+// it binds the row into the workspace's circuit with the compiled program
+// (no per-row gate list, routing or matrix allocation) and runs the engine
+// on the workspace's scratch state, which emits the finished state as one
+// slab — see mps.SimWorkspace.Simulate. sw, when non-nil, is the
+// caller-owned per-worker workspace, so buffers warmed by earlier rows are
+// reused; nil borrows an idle one for the row. The returned state shares no
+// storage with sw and may outlive it (cache residency, model retention).
 func (q *Quantum) simulate(x []float64, sw *mps.SimWorkspace) (*mps.MPS, error) {
-	c, err := q.Ansatz.BuildRouted(x)
+	p, err := q.program()
 	if err != nil {
 		return nil, err
 	}
-	st := mps.NewZeroState(q.Ansatz.Qubits, q.Config)
-	st.AttachWorkspace(sw)
-	err = st.ApplyCircuit(c)
-	st.DetachWorkspace()
-	if err != nil {
+	if sw == nil {
+		sw = mps.AcquireSimWorkspace()
+		defer sw.Release()
+	}
+	c := sw.Circuit()
+	if err := p.Bind(x, c); err != nil {
 		return nil, err
 	}
-	// The finished state outlives the simulation (cache residency, model
-	// retention): trim the engine's grow-only site buffers so byte-budget
-	// accounting matches the heap actually held alive.
-	st.CompactSites()
-	return st, nil
+	return sw.Simulate(c, q.Config)
 }
 
 // State simulates the feature-map circuit for one data point, returning its
@@ -131,10 +156,11 @@ func (q *Quantum) BandWidth() int { return 1 }
 
 // States simulates every row of X on a bounded worker pool — the
 // linear-cost stage of the framework. Exactly min(workers, len(X))
-// goroutines are launched; each owns one SimWorkspace and claims rows one at
-// a time through an atomic cursor, so a 100k-row dataset costs 100k
-// simulations but only a handful of goroutines. Every state is the one
-// State would return for its row.
+// goroutines are launched; each acquires one idle SimWorkspace for the call
+// and claims rows one at a time through an atomic cursor, so a 100k-row
+// dataset costs 100k simulations but only a handful of goroutines, and a
+// warm worker's row allocates only its finished state. Every state is the
+// one State would return for its row.
 func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
 	states := make([]*mps.MPS, len(X))
 	errs := make([]error, len(X))
@@ -145,7 +171,8 @@ func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw := mps.NewSimWorkspace()
+			sw := mps.AcquireSimWorkspace()
+			defer sw.Release()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(X) {

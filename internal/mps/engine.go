@@ -1,6 +1,12 @@
 package mps
 
-import "repro/internal/linalg"
+import (
+	"sync"
+
+	"repro/internal/backend"
+	"repro/internal/circuit"
+	"repro/internal/linalg"
+)
 
 // SimWorkspace owns every scratch buffer of the zero-realloc gate engine:
 // the merged two-site theta block (held directly in its matricized layout),
@@ -16,6 +22,10 @@ import "repro/internal/linalg"
 // goroutine materialises (kernel.States and the dist strategies do exactly
 // that). A workspace may be reused across many MPS values sequentially; it
 // holds no per-state data between gate applications.
+//
+// It is also a simulating worker's whole per-row kit (Simulate): the circuit
+// each row is bound into and the scratch state the engine runs on, so a warm
+// worker materialises a row in the five allocations of its finished slab.
 type SimWorkspace struct {
 	la     linalg.Workspace
 	theta  linalg.Matrix // merged theta in matricized (2l × 2r) layout
@@ -31,11 +41,31 @@ type SimWorkspace struct {
 	// has[q] is set.
 	pending []complex128
 	has     []bool
+
+	// Simulate's per-worker state: the circuit a row is bound into, the
+	// scratch state reset to |0…0⟩ per row, and the serial backend that
+	// stands in for a nil Config.Backend (made once, not once per row).
+	circ    circuit.Circuit
+	scratch *MPS
+	serial  backend.Backend
 }
 
 // NewSimWorkspace returns an empty workspace; buffers grow lazily to the
 // largest shapes encountered.
 func NewSimWorkspace() *SimWorkspace { return &SimWorkspace{} }
+
+// idleSim is the process-wide set of idle gate-engine workspaces.
+var idleSim = sync.Pool{New: func() any { return NewSimWorkspace() }}
+
+// AcquireSimWorkspace returns an idle workspace from a process-wide set —
+// warmed by an earlier caller's rows when one is idle, new otherwise — so
+// short calls (one served batch, one ring step) start from grown buffers.
+// Give it back with Release.
+func AcquireSimWorkspace() *SimWorkspace { return idleSim.Get().(*SimWorkspace) }
+
+// Release returns w to the idle set; the caller must not use it afterwards.
+// The states it produced are unaffected: they share no storage with it.
+func (w *SimWorkspace) Release() { idleSim.Put(w) }
 
 // identity2 is the flat 2×2 identity used for absent pending gate factors.
 var identity2 = [4]complex128{1, 0, 0, 1}
@@ -54,37 +84,113 @@ func (w *SimWorkspace) ensurePending(n int) {
 	}
 }
 
-// AttachWorkspace makes the state use ws for all subsequent gate
-// applications, sharing warmed buffers across the many states one worker
-// goroutine materialises. A nil ws is ignored (the state keeps creating its
-// own lazily). The workspace must not be used by another goroutine while
-// attached and in use.
-func (m *MPS) AttachWorkspace(ws *SimWorkspace) {
-	if ws != nil {
-		m.ws = ws
+// Circuit returns the workspace's reusable circuit: the target a simulating
+// worker binds each row into (circuit.Program.Bind) before Simulate.
+func (w *SimWorkspace) Circuit() *circuit.Circuit { return &w.circ }
+
+// Simulate applies c to |0…0⟩ and returns the finished state — the state
+// NewZeroState + ApplyCircuit + CompactSites gives, tensor for tensor ==.
+// The engine runs on the workspace's scratch state, whose sites keep their
+// grow-only buffers from row to row; only the finished state is copied out,
+// as one slab (see CompactSites) carrying the centre, the truncation error,
+// the gate count and the memory ledger. A nil cfg.Backend selects one serial
+// backend kept by the workspace. Not safe for concurrent use, like the
+// workspace itself.
+func (w *SimWorkspace) Simulate(c *circuit.Circuit, cfg Config) (*MPS, error) {
+	if cfg.Backend == nil {
+		if w.serial == nil {
+			w.serial = backend.NewSerial()
+		}
+		cfg.Backend = w.serial
+	}
+	st := w.scratch
+	if st == nil || st.N != c.NumQubits {
+		st = NewZeroState(c.NumQubits, cfg)
+		w.scratch = st
+	} else {
+		st.reset(cfg)
+	}
+	st.ws = w
+	err := st.ApplyCircuit(c)
+	st.ws = nil
+	if err != nil {
+		return nil, err
+	}
+	out := &MPS{
+		N: st.N, cfg: st.cfg, center: st.center,
+		TruncationError: st.TruncationError,
+		Ledger:          st.Ledger,
+		gatesApplied:    st.gatesApplied,
+	}
+	out.Sites = make([]*Tensor, st.N)
+	copyToSlab(out.Sites, st.Sites)
+	st.Ledger = nil // moved to out
+	return out, nil
+}
+
+// reset returns m to |0…0⟩ under cfg, as NewZeroState builds it, keeping
+// every site's backing array for the next simulation.
+func (m *MPS) reset(cfg Config) {
+	m.cfg = cfg.withDefaults()
+	for _, s := range m.Sites {
+		s.Reuse3(1, 2, 1)
+		s.Data[0], s.Data[1] = 1, 0
+	}
+	m.center, m.TruncationError, m.Ledger, m.gatesApplied = 0, 0, nil, 0
+}
+
+// CompactSites moves every site tensor into one slab — the layout
+// UnmarshalBinary and Simulate produce: one complex128 array holding every
+// payload, one block of tensor headers and one of shapes, each site's slices
+// capacity-clipped to its payload. The engine lets site buffers retain the
+// peak bond dimension's capacity so steady-state gates allocate nothing; a
+// finished state that is about to be retained — cached, shared, serialised
+// — should be compacted once, so the byte-budgeted state cache's
+// MemoryBytes accounting (which charges the payload length) matches the heap
+// it actually holds alive, and so its sites are three heap objects in all
+// rather than three each. A gate applied later to a compacted state
+// reallocates the site it grows instead of writing into its neighbour.
+func (m *MPS) CompactSites() { copyToSlab(m.Sites, m.Sites) }
+
+// copyToSlab sets dst[i] to a copy of src[i], every copy carved out of one
+// fresh slab (dst may be src).
+func copyToSlab(dst, src []*Tensor) {
+	entries := 0
+	for _, t := range src {
+		entries += len(t.Data)
+	}
+	sl := newSlab(len(src), entries)
+	for i, t := range src {
+		s := sl.site(i, t.Shape[0], t.Shape[2])
+		copy(s.Data, t.Data)
+		dst[i] = s
 	}
 }
 
-// DetachWorkspace releases the state's workspace reference so the buffers
-// can be handed to the next simulation (and so a state parked in a shared
-// cache holds no scratch memory alive).
-func (m *MPS) DetachWorkspace() { m.ws = nil }
+// slab carves n rank-3 site tensors out of three blocks: tensor headers,
+// shapes and one complex128 payload. Each site's Shape and Data are
+// capacity-clipped windows, so growing one site (Reuse3) reallocates it
+// rather than overwriting its neighbour.
+type slab struct {
+	hdr    []Tensor
+	shapes []int
+	data   []complex128
+}
 
-// CompactSites trims every site tensor's grow-only backing array to its
-// exact payload size. The engine lets site buffers retain the peak bond
-// dimension's capacity so steady-state gates allocate nothing; a finished
-// state that is about to be retained — cached, shared, serialised — should
-// be compacted once so the byte-budgeted state cache's MemoryBytes
-// accounting (which charges the payload length) matches the heap it
-// actually holds alive.
-func (m *MPS) CompactSites() {
-	for _, s := range m.Sites {
-		if cap(s.Data) > len(s.Data) {
-			d := make([]complex128, len(s.Data))
-			copy(d, s.Data)
-			s.Data = d
-		}
-	}
+func newSlab(n, entries int) slab {
+	return slab{hdr: make([]Tensor, n), shapes: make([]int, 3*n), data: make([]complex128, entries)}
+}
+
+// site carves site i, of bonds (l, r), from the front of the remaining
+// payload.
+func (s *slab) site(i, l, r int) *Tensor {
+	size := 2 * l * r
+	d := s.data[:size:size]
+	s.data = s.data[size:]
+	shape := s.shapes[3*i : 3*i+3 : 3*i+3]
+	shape[0], shape[1], shape[2] = l, 2, r
+	s.hdr[i] = Tensor{Shape: shape, Data: d}
+	return &s.hdr[i]
 }
 
 // workspace returns the state's engine workspace, creating one lazily.

@@ -143,8 +143,7 @@ func TestApplyCircuitFusionMatchesPerGate(t *testing.T) {
 // heap allocations.
 func TestApply2ZeroAllocSteadyState(t *testing.T) {
 	m := NewZeroState(6, Config{})
-	ws := NewSimWorkspace()
-	m.AttachWorkspace(ws)
+	m.ws = NewSimWorkspace()
 	g := circuit.Gate{Name: "RXX", Qubits: []int{2, 3}, Mat: gates.RXX(0.7)}
 	g2 := circuit.Gate{Name: "RXX", Qubits: []int{3, 4}, Mat: gates.RXX(0.3)}
 	// Warm up: let bonds and buffers reach steady state.
@@ -196,12 +195,10 @@ func TestWorkspaceSharedAcrossStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := NewZeroState(engineAnsatz.Qubits, Config{})
-		shared.AttachWorkspace(ws)
-		if err := shared.ApplyCircuit(c); err != nil {
+		shared, err := ws.Simulate(c, Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		shared.DetachWorkspace()
 		fresh := NewZeroState(engineAnsatz.Qubits, Config{})
 		if err := fresh.ApplyCircuit(c); err != nil {
 			t.Fatal(err)

@@ -42,10 +42,10 @@ func (m *MPS) MarshalBinary() ([]byte, error) {
 // off the wire: a first pass checks every site header and payload bound
 // against the bytes actually present, allocating nothing. Only then is the
 // state built, in five allocations however many sites it has: the MPS, its
-// Sites slice, one block of tensor headers, one of shapes and one slab of
-// complex128 for every payload. Each site's Data is a cap-limited window of
-// the slab, so a gate that grows a site reallocates it instead of writing
-// into its neighbour.
+// Sites slice and a slab (see CompactSites) — one block of tensor headers,
+// one of shapes and one complex128 array for every payload. Each site's
+// Data is a cap-limited window of the slab, so a gate that grows a site
+// reallocates it instead of writing into its neighbour.
 func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 	le := binary.LittleEndian
 	if len(data) < headerSize {
@@ -95,25 +95,18 @@ func UnmarshalBinary(data []byte, cfg Config) (*MPS, error) {
 
 	m := &MPS{N: int(n), cfg: cfg.withDefaults(), center: int(center), TruncationError: truncErr}
 	m.Sites = make([]*Tensor, n)
-	sites := make([]Tensor, n)
-	shapes := make([]int, 3*n)
-	slab := make([]complex128, entries)
+	sl := newSlab(int(n), entries)
 	rest = body
 	for i := range m.Sites {
 		l, rr := int(le.Uint32(rest)), int(le.Uint32(rest[4:]))
 		rest = rest[8:]
-		size := 2 * l * rr
-		site := slab[:size:size]
-		slab = slab[size:]
-		for j := range site {
+		site := sl.site(i, l, rr)
+		for j := range site.Data {
 			re, im := le.Uint64(rest[16*j:]), le.Uint64(rest[16*j+8:])
-			site[j] = complex(math.Float64frombits(re), math.Float64frombits(im))
+			site.Data[j] = complex(math.Float64frombits(re), math.Float64frombits(im))
 		}
-		rest = rest[16*size:]
-		shape := shapes[3*i : 3*i+3 : 3*i+3]
-		shape[0], shape[1], shape[2] = l, 2, rr
-		sites[i] = Tensor{Shape: shape, Data: site}
-		m.Sites[i] = &sites[i]
+		rest = rest[16*len(site.Data):]
+		m.Sites[i] = site
 	}
 	return m, nil
 }

@@ -100,49 +100,48 @@ func applyCircuitWorkload(tb testing.TB) (int, *circuit.Circuit) {
 	return a.Qubits, c
 }
 
-// applyCircuit materialises c on a fresh state through the shared ws, the
-// way the kernel's worker loops reuse one workspace across rows.
-func applyCircuit(tb testing.TB, n int, c *circuit.Circuit, be backend.Backend, ws *mps.SimWorkspace) *mps.MPS {
+// applyCircuit materialises c from |0…0⟩ through the shared ws, the way the
+// kernel's worker loops reuse one workspace (and its scratch state) across
+// rows.
+func applyCircuit(tb testing.TB, c *circuit.Circuit, be backend.Backend, ws *mps.SimWorkspace) *mps.MPS {
 	tb.Helper()
-	st := mps.NewZeroState(n, mps.Config{Backend: be})
-	st.AttachWorkspace(ws)
-	if err := st.ApplyCircuit(c); err != nil {
+	st, err := ws.Simulate(c, mps.Config{Backend: be})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	st.DetachWorkspace()
 	return st
 }
 
 // TestApplyCircuitAllocs bounds the allocations of one full circuit
-// application with a warm workspace at the count the engine makes today
-// (372 on this circuit): site buffers are per-state, so a handful of
-// allocations per site remain, and growth past the bound is a regression of
-// the zero-realloc engine.
+// simulation with a warm workspace: the scratch state's site buffers and the
+// engine's scratch are all reused, so only the finished state's five
+// allocations (MPS, Sites, and the slab's headers, shapes and payload)
+// remain. The bound was 372 while every state allocated its own sites.
 func TestApplyCircuitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the 24-qubit circuit takes ~20 s under -race, and the count it checks has no concurrency")
 	}
-	n, c := applyCircuitWorkload(t)
+	_, c := applyCircuitWorkload(t)
 	be, ws := backend.NewSerial(), mps.NewSimWorkspace()
 	// AllocsPerRun's own warm-up call grows the workspace.
-	if allocs := testing.AllocsPerRun(2, func() { applyCircuit(t, n, c, be, ws) }); allocs > 372 {
-		t.Fatalf("ApplyCircuit with a warm workspace made %v allocations, want ≤ 372", allocs)
+	if allocs := testing.AllocsPerRun(2, func() { applyCircuit(t, c, be, ws) }); allocs > 5 {
+		t.Fatalf("Simulate with a warm workspace made %v allocations, want ≤ 5", allocs)
 	}
 }
 
 // BenchmarkApplyCircuit isolates the gate-application hot path of the fused
-// engine: one routed feature-map circuit applied to a fresh state, with the
+// engine: one routed feature-map circuit simulated from |0…0⟩, with the
 // simulation workspace reused across iterations. ns/op is the cost of a full
 // state materialisation minus circuit construction; allocs/op measures how
 // close the engine runs to its zero-realloc steady state.
 func BenchmarkApplyCircuit(b *testing.B) {
-	n, c := applyCircuitWorkload(b)
+	_, c := applyCircuitWorkload(b)
 	be, ws := backend.NewSerial(), mps.NewSimWorkspace()
 	b.ResetTimer()
 	b.ReportAllocs()
 	var chi int
 	for i := 0; i < b.N; i++ {
-		chi = applyCircuit(b, n, c, be, ws).MaxBond()
+		chi = applyCircuit(b, c, be, ws).MaxBond()
 	}
 	b.ReportMetric(float64(chi), "χ")
 }

@@ -3,6 +3,7 @@ package mps
 import (
 	"fmt"
 	"math/cmplx"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -29,6 +30,17 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers are allocated on first
 // use and grow to the largest bond dimension encountered.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// idleOverlap is the process-wide set of idle overlap workspaces.
+var idleOverlap = sync.Pool{New: func() any { return NewWorkspace() }}
+
+// AcquireWorkspace returns an idle overlap workspace from a process-wide set
+// (warmed by an earlier caller when one is idle, new otherwise). Give it
+// back with Release.
+func AcquireWorkspace() *Workspace { return idleOverlap.Get().(*Workspace) }
+
+// Release returns w to the idle set; the caller must not use it afterwards.
+func (w *Workspace) Release() { idleOverlap.Put(w) }
 
 // Inner computes ⟨a|b⟩ exactly as mps.Inner (same contraction, same
 // accumulation order, results ==) but reuses the workspace's buffers instead

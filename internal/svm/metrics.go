@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // ErrSingleClass is returned by AUC (and therefore Evaluate) when the labels
@@ -185,29 +188,75 @@ func AUCFromROC(pts []ROCPoint) float64 {
 // model and metrics with the highest AUC on the evaluation kernel/labels —
 // the paper's per-regularisation model selection. evalK is the eval×train
 // kernel.
+//
+// The grid values are independent fits, so they train concurrently on up to
+// GOMAXPROCS goroutines, the largest C claimed first (SMO runs longest at
+// large C, so the longest fits start earliest). Selection then walks the grid
+// in order exactly as a serial sweep would: the first value with the highest
+// AUC wins ties, and the first failing value in grid order decides the
+// error.
 func TrainBestC(trainK [][]float64, trainY []int, evalK [][]float64, evalY []int, grid []float64, tol float64) (*Model, Metrics, float64, error) {
 	if len(grid) == 0 {
 		grid = DefaultCGrid
 	}
+	fits := make([]gridFit, len(grid))
+	order := make([]int, len(grid))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return grid[order[a]] > grid[order[b]] })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), len(grid)); g > 0; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				i := order[k]
+				fits[i] = fitC(trainK, trainY, evalK, evalY, grid[i], tol)
+			}
+		}()
+	}
+	wg.Wait()
+
 	var bestModel *Model
 	var bestMetrics Metrics
 	bestC := math.NaN()
-	for _, c := range grid {
-		model, err := Train(trainK, trainY, c, tol)
-		if err != nil {
-			return nil, Metrics{}, 0, fmt.Errorf("svm: C=%v: %w", c, err)
+	for i, f := range fits {
+		if f.err != nil {
+			return nil, Metrics{}, 0, f.err
 		}
-		scores, err := model.DecisionBatch(evalK)
-		if err != nil {
-			return nil, Metrics{}, 0, err
-		}
-		met, err := Evaluate(scores, evalY)
-		if err != nil {
-			return nil, Metrics{}, 0, err
-		}
-		if bestModel == nil || met.AUC > bestMetrics.AUC {
-			bestModel, bestMetrics, bestC = model, met, c
+		if bestModel == nil || f.met.AUC > bestMetrics.AUC {
+			bestModel, bestMetrics, bestC = f.model, f.met, grid[i]
 		}
 	}
 	return bestModel, bestMetrics, bestC, nil
+}
+
+// gridFit is one grid value's trained model and its evaluation.
+type gridFit struct {
+	model *Model
+	met   Metrics
+	err   error
+}
+
+// fitC trains at one C and evaluates the model on the eval kernel.
+func fitC(trainK [][]float64, trainY []int, evalK [][]float64, evalY []int, c, tol float64) gridFit {
+	model, err := Train(trainK, trainY, c, tol)
+	if err != nil {
+		return gridFit{err: fmt.Errorf("svm: C=%v: %w", c, err)}
+	}
+	scores, err := model.DecisionBatch(evalK)
+	if err != nil {
+		return gridFit{err: err}
+	}
+	met, err := Evaluate(scores, evalY)
+	if err != nil {
+		return gridFit{err: err}
+	}
+	return gridFit{model: model, met: met}
 }
