@@ -28,7 +28,10 @@ import (
 // internal/serve/http). The process logs its actual listen address on
 // startup ("listening on ...") so scripts can bind -addr to port 0 and
 // scrape the chosen port. SIGHUP hot-reloads every model whose file changed
-// on disk; -admin exposes the same as POST /admin/reload.
+// on disk; -admin exposes the same as POST /admin/reload. Inference against
+// a model's stored training states exchanges nothing between processes, so
+// serving runs each batch on one process with one worker per core; the
+// simulated-process settings a model was trained with govern training only.
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("qkernel serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
@@ -37,7 +40,6 @@ func runServe(args []string) int {
 	batch := fs.Int("batch", serve.DefaultMaxBatch, "max rows coalesced into one kernel computation (per model)")
 	queue := fs.Int("queue", serve.DefaultQueueDepth, "max queued requests per model before 429 backpressure")
 	cacheMB := fs.Int("cache-mb", -1, "total state-cache budget in MiB shared across all models (-1 keeps each model's saved setting as its share, 0 disables)")
-	procs := fs.Int("procs", 0, "override the models' simulated process count (0 keeps the saved settings)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-API-key token-bucket rate limit in requests/second (0 disables)")
 	rateBurst := fs.Int("rate-burst", 0, "rate-limit bucket capacity (0 derives from -rate-limit)")
 	admin := fs.Bool("admin", false, "expose POST /admin/reload (hot model swap)")
@@ -72,7 +74,6 @@ func runServe(args []string) int {
 	}
 
 	regCfg := registry.Config{
-		Procs: *procs,
 		Batch: serve.Config{MaxBatch: *batch, QueueDepth: *queue, Obs: tracer},
 	}
 	switch {

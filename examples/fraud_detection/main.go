@@ -56,9 +56,8 @@ func main() {
 	if *cacheMB > 0 {
 		q.Cache = statecache.New(int64(*cacheMB) << 20)
 	}
-	distOpts := dist.Options{Procs: procs, Strategy: dist.RoundRobin}
 	t0 := time.Now()
-	gramRes, err := dist.ComputeGram(q, train.X, distOpts)
+	gramRes, err := dist.ComputeGram(q, train.X, dist.Options{Procs: procs, Strategy: dist.RoundRobin})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func main() {
 
 	// Inference reuses the training states retained by the Gram run:
 	// zero training-set re-simulation, zero communication.
-	crossRes, err := dist.ComputeCrossStates(q, test.X, gramRes.States, distOpts)
+	cross, err := q.CrossStates(test.X, gramRes.States, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func main() {
 		fmt.Printf("state cache: %d hits / %d misses, %.1f MiB of %.0f MiB resident\n",
 			s.Hits, s.Misses, float64(s.Bytes)/(1<<20), float64(s.Budget)/(1<<20))
 	}
-	_, qMet, qC, err := svm.TrainBestC(gramRes.Gram, train.Y, crossRes.Gram, test.Y, nil, 0)
+	_, qMet, qC, err := svm.TrainBestC(gramRes.Gram, train.Y, cross, test.Y, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

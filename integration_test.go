@@ -43,11 +43,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := kernel.ValidateGram(gramRes.Gram, 1e-8, false); err != nil {
 		t.Fatal(err)
 	}
-	crossRes, err := dist.ComputeCrossStates(q, test.X, gramRes.States, dist.Options{Procs: 4})
+	cross, err := q.CrossStates(test.X, gramRes.States, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, met, bestC, err := svm.TrainBestC(gramRes.Gram, train.Y, crossRes.Gram, test.Y, nil, 0)
+	model, met, bestC, err := svm.TrainBestC(gramRes.Gram, train.Y, cross, test.Y, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,15 +51,18 @@ type Options struct {
 	// C is the SVM box constraint; 0 sweeps the paper's grid [0.01, 4] and
 	// keeps the best model by training-kernel AUC.
 	C float64
-	// Procs is the number of simulated distributed processes for Gram
-	// computation (default 1 = single process).
+	// Procs is the number of simulated distributed processes for Fit's
+	// training Gram (default 1 = single process). Procs, Strategy and
+	// Transport govern Fit only: inference against the stored training
+	// states exchanges nothing, so Predict runs on one process with
+	// kernel.Quantum's worker pool whatever they are.
 	Procs int
-	// Strategy selects the distribution scheme (default RoundRobin).
+	// Strategy selects Fit's distribution scheme (default RoundRobin).
 	Strategy dist.Strategy
-	// Transport selects the wire carrying shard messages between the
+	// Transport selects the wire carrying Fit's shard messages between the
 	// distributed processes (nil = dist.ChanTransport, the zero-cost
-	// in-process channels). The kernel matrices are transport-independent;
-	// only the communication instrumentation changes.
+	// in-process channels). The Gram matrix is transport-independent; only
+	// the communication instrumentation changes.
 	Transport dist.Transport
 	// CacheBytes bounds the χ-aware simulated-state cache shared by Fit
 	// and Predict (0 selects DefaultCacheBytes; negative disables caching
@@ -111,19 +114,16 @@ type Framework struct {
 	cacheBudget int64
 	q           *kernel.Quantum
 
-	// commMu guards comm and rowCosts, the cumulative wire activity and
-	// per-row materialisation costs of every distributed kernel computation
-	// this framework has run (Fit and Predict).
-	commMu   sync.Mutex
-	comm     CommStats
-	rowCosts RowCostSummary
+	// commMu guards comm, the cumulative wire activity of every Fit this
+	// framework has run.
+	commMu sync.Mutex
+	comm   CommStats
 }
 
 // RowCostSummary condenses measured per-row state-materialisation wall-clock
 // (dist.Result.ObservedRowCosts) into the moments an operator — and the
 // ROADMAP's self-tuning distribution item — needs: how many rows were
-// measured, the spread, and the total. Served in /stats and narrated in the
-// FitReport.
+// measured, the spread, and the total. Narrated in the FitReport.
 type RowCostSummary struct {
 	Count int           `json:"count"`
 	Min   time.Duration `json:"min"`
@@ -155,31 +155,14 @@ func SummarizeRowCosts(costs []time.Duration) RowCostSummary {
 	return s
 }
 
-// merge folds another summary into s (cumulative accounting across
-// computations).
-func (s *RowCostSummary) merge(o RowCostSummary) {
-	if o.Count == 0 {
-		return
-	}
-	if s.Count == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.Total += o.Total
-	s.Count += o.Count
-	s.Mean = s.Total / time.Duration(s.Count)
-}
-
-// CommStats aggregates the distributed-wire activity of a framework: how
-// many kernel computations ran, what they sent, and the summed per-process
-// communication wall-clock. Exposed by the serving layer's /stats and
-// /metrics so an operator sees what the configured transport is costing.
+// CommStats aggregates the distributed-wire activity of a framework's Fits:
+// how many training Grams ran, what they sent, and the summed per-process
+// communication wall-clock. Inference sends nothing, so a framework that
+// only predicts (a served model) reads zero here.
 type CommStats struct {
 	// Transport is the flag-style name of the configured wire.
 	Transport string `json:"transport"`
-	// Computations counts distributed Gram/cross computations run.
+	// Computations counts distributed training-Gram computations run.
 	Computations int64 `json:"computations"`
 	// Messages and Bytes total the shard messages and their framed wire
 	// volume across all computations.
@@ -226,8 +209,8 @@ func New(opts Options) (*Framework, error) {
 	}, nil
 }
 
-// distOptions maps the framework's options onto one distributed computation,
-// parented under sp for tracing (nil = untraced).
+// distOptions maps the framework's options onto one distributed training
+// Gram, parented under sp for tracing (nil = untraced).
 func (f *Framework) distOptions(sp *obs.Span) dist.Options {
 	return dist.Options{
 		Procs:     f.opts.Procs,
@@ -237,8 +220,8 @@ func (f *Framework) distOptions(sp *obs.Span) dist.Options {
 	}
 }
 
-// recordComm folds one distributed computation's wire activity into the
-// framework's cumulative counters.
+// recordComm folds one training Gram's wire activity into the framework's
+// cumulative counters.
 func (f *Framework) recordComm(res *dist.Result) {
 	f.commMu.Lock()
 	defer f.commMu.Unlock()
@@ -246,15 +229,6 @@ func (f *Framework) recordComm(res *dist.Result) {
 	f.comm.Messages += int64(res.TotalMessages())
 	f.comm.Bytes += res.TotalBytes()
 	f.comm.CommWall += res.TotalCommTime()
-	f.rowCosts.merge(SummarizeRowCosts(res.ObservedRowCosts))
-}
-
-// RowCostStats snapshots the cumulative per-row materialisation cost summary
-// across every kernel computation this framework has run.
-func (f *Framework) RowCostStats() RowCostSummary {
-	f.commMu.Lock()
-	defer f.commMu.Unlock()
-	return f.rowCosts
 }
 
 // CommStats snapshots the framework's cumulative distributed-wire counters.
@@ -710,7 +684,8 @@ func (f *Framework) Predict(m *Model, X [][]float64) ([]float64, error) {
 
 // PredictCtx is Predict under a context: when the context carries a span,
 // the inference records its trace under it — a cross_kernel span with one
-// child per rank and per-row spans, then a decision span for the SVM scoring.
+// row child per test row (see kernel.Quantum.CrossStates), then a decision
+// span for the SVM scoring.
 func (f *Framework) PredictCtx(ctx context.Context, m *Model, X [][]float64) ([]float64, error) {
 	if m == nil || m.SVM == nil {
 		return nil, fmt.Errorf("core: nil model")
@@ -727,17 +702,16 @@ func (f *Framework) PredictCtx(ctx context.Context, m *Model, X [][]float64) ([]
 		states, err = f.q.States(m.TrainX)
 	}
 	kSp.SetAttr("path", path)
-	var res *dist.Result
+	var k [][]float64
 	if err == nil {
-		res, err = dist.ComputeCrossStates(f.q, X, states, f.distOptions(kSp))
+		k, err = f.q.CrossStates(X, states, kSp)
 	}
 	kSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: inference kernel: %w", err)
 	}
-	f.recordComm(res)
 	decSp := sp.Child("decision")
-	scores, err := m.SVM.DecisionBatch(res.Gram)
+	scores, err := m.SVM.DecisionBatch(k)
 	decSp.End()
 	return scores, err
 }

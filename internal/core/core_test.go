@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dist"
+	"repro/internal/mps"
+	"repro/internal/obs"
 	"repro/internal/statecache"
 	"repro/internal/svm"
 )
@@ -310,6 +314,48 @@ func TestPredictWidthMismatchErrors(t *testing.T) {
 	}
 	if _, err := narrow.Predict(model, narrowRows); err == nil {
 		t.Fatal("8-qubit retained states accepted by a 6-qubit framework")
+	}
+}
+
+// TestPredictRejectsBadHandles: Model.States is a public field, so a
+// hand-built model whose handles are nil or of another width must fail
+// Predict with an error, not panic in the overlap.
+func TestPredictRejectsBadHandles(t *testing.T) {
+	fw, model, testX := fitSmallModel(t, Options{Features: 6, C: 1, Procs: 2})
+	for _, bad := range []*mps.MPS{nil, mps.NewZeroState(5, mps.Config{})} {
+		states := append([]*mps.MPS(nil), model.States...)
+		states[len(states)-1] = bad
+		hand := &Model{SVM: model.SVM, TrainX: model.TrainX, TrainY: model.TrainY, States: states}
+		if _, err := fw.Predict(hand, testX); err == nil {
+			t.Fatalf("Predict accepted training handle %v", bad)
+		}
+	}
+}
+
+// TestPredictTraceRowSpans: a traced Predict records one row span per test
+// row directly under cross_kernel, and no per-rank span — inference runs on
+// one process whatever Procs the framework trains with.
+func TestPredictTraceRowSpans(t *testing.T) {
+	fw, model, testX := fitSmallModel(t, Options{Features: 6, C: 1, Procs: 2})
+	tr := obs.NewTrace(obs.NewID(), "predict")
+	if _, err := fw.PredictCtx(obs.ContextWithSpan(context.Background(), tr.Root()), model, testX); err != nil {
+		t.Fatal(err)
+	}
+	tr.Root().End()
+	var kernelID int64
+	rows := 0
+	for _, sp := range tr.Snapshot().Spans {
+		switch {
+		case sp.Name == "cross_kernel":
+			kernelID = sp.ID
+		case sp.Name == "row" && sp.Parent == kernelID && kernelID != 0:
+			rows++
+		case strings.HasPrefix(sp.Name, "rank"):
+			t.Fatalf("inference recorded a %q span", sp.Name)
+		}
+	}
+	if rows != len(testX) {
+		t.Fatalf("%d row spans under cross_kernel, want one per test row (%d)", rows, len(testX))
 	}
 }
 

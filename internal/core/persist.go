@@ -203,9 +203,10 @@ func LoadModel(path string) (*Framework, *Model, error) {
 	return LoadModelTuned(path, nil)
 }
 
-// LoadModelTuned is LoadModel with a hook to adjust runtime options (Procs,
-// CacheBytes, C, Strategy, Transport) before the framework is rebuilt — the knobs a
-// serving process re-tunes for its own hardware. Changing any option that
+// LoadModelTuned is LoadModel with a hook to adjust runtime options before
+// the framework is rebuilt: CacheBytes, which a serving process re-tunes for
+// its own memory, and C, Procs, Strategy and Transport, which only a later
+// Fit on the framework reads. Changing any option that
 // affects the simulation itself (ansatz shape, γ, backend) is detected by the
 // fingerprint check and rejected: the stored states and SVM were trained
 // under the saved context and would be silently wrong under another.

@@ -45,11 +45,11 @@ func unprunedFit(t *testing.T, fw *Framework, X [][]float64, y []int) (*svm.Mode
 // every training state.
 func fullDecisions(t *testing.T, fw *Framework, full *svm.Model, testX [][]float64, states []*mps.MPS) []float64 {
 	t.Helper()
-	res, err := dist.ComputeCrossStates(fw.q, testX, states, fw.distOptions(nil))
+	k, err := fw.q.CrossStates(testX, states, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.DecisionBatch(res.Gram)
+	want, err := full.DecisionBatch(k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/kernel"
@@ -91,82 +89,6 @@ func TestResultStatesRetained(t *testing.T) {
 	}
 }
 
-// TestComputeCrossStates: inference from retained handles simulates only the
-// test rows at every process count and communicates nothing. An empty test
-// set yields an empty kernel. (Agreement with the serial kernel is
-// TestComputeCrossAgreesWithSerial.)
-func TestComputeCrossStates(t *testing.T) {
-	train := testData(t, 8, 6)
-	test := testData(t, 13, 6)[8:]
-	q := testKernel(6)
-
-	gramRes, err := ComputeGram(q, train, Options{Procs: 3, Strategy: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 3, 6} {
-		res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: k})
-		if err != nil {
-			t.Fatalf("procs=%d: %v", k, err)
-		}
-		if sims := res.TotalStatesSimulated(); sims != len(test) {
-			t.Fatalf("procs=%d: simulated %d states, want %d", k, sims, len(test))
-		}
-		if res.TotalBytes() != 0 || res.TotalMessages() != 0 {
-			t.Fatalf("procs=%d: communicated %d bytes, %d messages", k, res.TotalBytes(), res.TotalMessages())
-		}
-	}
-
-	empty, err := ComputeCrossStates(q, nil, gramRes.States, Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Gram) != 0 {
-		t.Fatalf("empty test set produced %d rows", len(empty.Gram))
-	}
-}
-
-// TestComputeCrossStatesRejectsNil: a nil training handle, a nil kernel and
-// a negative process count are errors.
-func TestComputeCrossStatesRejectsNil(t *testing.T) {
-	test := testData(t, 2, 6)
-	q := testKernel(6)
-	if _, err := ComputeCrossStates(q, test, make([]*mps.MPS, 3), Options{Procs: 2}); err == nil {
-		t.Fatal("nil training state accepted")
-	}
-	gramRes, err := ComputeGram(q, test, Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ComputeCrossStates(nil, test, gramRes.States, Options{Procs: 2}); err == nil {
-		t.Fatal("nil kernel must error")
-	}
-	if _, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: -1}); err == nil {
-		t.Fatal("negative procs must error")
-	}
-}
-
-// TestComputeCrossStatesRejectsWidthMismatch: handles from a different-width
-// ansatz, and a test row of the wrong width, must surface as errors, never
-// a panic in the overlap zipper.
-func TestComputeCrossStatesRejectsWidthMismatch(t *testing.T) {
-	train := testData(t, 4, 6)
-	q := testKernel(6)
-	gramRes, err := ComputeGram(q, train, Options{Procs: 2, Strategy: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow := testKernel(5)
-	if _, err := ComputeCrossStates(narrow, testData(t, 2, 5), gramRes.States, Options{Procs: 2}); err == nil {
-		t.Fatal("6-qubit training states accepted by a 5-qubit ansatz")
-	}
-	bad := testData(t, 6, 6)
-	bad[3] = []float64{0.5} // wrong dimension for a 6-qubit ansatz
-	if _, err := ComputeCrossStates(q, bad, gramRes.States, Options{Procs: 3}); err == nil {
-		t.Fatal("malformed test row must error")
-	}
-}
-
 // TestCachedRaceStress runs both strategies concurrently against one shared
 // cache — the -race check for the cache-threaded simulation paths.
 func TestCachedRaceStress(t *testing.T) {
@@ -184,51 +106,6 @@ func TestCachedRaceStress(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestConcurrentCrossStatesShareIdleWorkspaces: two inference calls running
-// at once draw their per-worker workspaces from the same process-wide idle
-// sets, and each still returns the kernel a lone call returns, ==. Run
-// under -race, this checks that no workspace is handed to two calls.
-func TestConcurrentCrossStatesShareIdleWorkspaces(t *testing.T) {
-	train := testData(t, 8, 6)
-	tests := [][][]float64{testData(t, 14, 6)[8:], testData(t, 20, 6)[14:]}
-	q := testKernel(6)
-	gramRes, err := ComputeGram(q, train, Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][][]float64, len(tests))
-	for i, test := range tests {
-		res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.Gram
-	}
-	for round := 0; round < 4; round++ {
-		got := make([][][]float64, len(tests))
-		errs := make([]error, len(tests))
-		var wg sync.WaitGroup
-		for i, test := range tests {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, err := ComputeCrossStates(q, test, gramRes.States, Options{Procs: 2})
-				if err == nil {
-					got[i] = res.Gram
-				}
-				errs[i] = err
-			}()
-		}
-		wg.Wait()
-		for i := range tests {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			checkIdentical(t, fmt.Sprintf("round %d call %d", round, i), want[i], got[i])
 		}
 	}
 }

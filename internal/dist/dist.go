@@ -1,9 +1,8 @@
 // Package dist is the simulated multi-process distribution layer of the
-// paper's section II-D and Fig. 4: it computes quantum-kernel Gram matrices
-// by splitting the work across k simulated processes, each running on its
-// own goroutine with a private worker pool, and reproduces the two
-// distribution strategies whose trade-off the paper measures for the
-// training Gram:
+// paper's section II-D and Fig. 4: it computes the training Gram matrix by
+// splitting the work across k simulated processes, each running on its own
+// goroutine with a private worker pool, and reproduces the two distribution
+// strategies whose trade-off the paper measures:
 //
 //   - RoundRobin: states are sharded across processes; each process
 //     simulates only its shard and the shards are then exchanged through
@@ -22,12 +21,6 @@
 // instrumentation (CommTime, byte counts) allowed to differ. Per-process
 // instrumentation separates simulation, inner-product and communication
 // wall-clock so the Fig. 8 runtime breakdown can be reproduced faithfully.
-//
-// Inference (ComputeCrossStates) takes the training states already
-// simulated, as the paper does when it stores the MPS: each process
-// simulates only its share of the test rows and computes their overlaps
-// against every training state, so no strategy applies and nothing crosses
-// the wire.
 package dist
 
 import (
@@ -82,8 +75,7 @@ func ParseStrategy(name string) (Strategy, error) {
 type Options struct {
 	// Procs is the number of distributed processes; 0 selects 1.
 	Procs int
-	// Strategy selects the distribution scheme for ComputeGram. Inference
-	// (ComputeCrossStates) exchanges nothing, so it ignores the strategy.
+	// Strategy selects the distribution scheme.
 	Strategy Strategy
 	// Transport is the wire carrying shard messages; nil selects
 	// ChanTransport. The Gram matrix is transport-independent — only the
@@ -160,8 +152,7 @@ type ProcStats struct {
 // Result is a distributed kernel computation: the matrix itself, the total
 // wall-clock, and per-process instrumentation.
 type Result struct {
-	// Gram is the kernel matrix: square symmetric for ComputeGram,
-	// rectangular test×train for ComputeCrossStates.
+	// Gram is the square symmetric kernel matrix.
 	Gram [][]float64
 	// Wall is the end-to-end elapsed time of the computation.
 	Wall time.Duration
@@ -169,15 +160,13 @@ type Result struct {
 	Procs []ProcStats
 	// States holds the simulated training states indexed like the input
 	// rows — the handles a model retains so inference never re-simulates
-	// the training set. Populated by ComputeGram (each process contributes
-	// its owned shard); nil for ComputeCrossStates results.
+	// the training set; each process contributes its owned shard.
 	States []*mps.MPS
 	// ObservedRowCosts is the measured per-row state-materialisation
-	// wall-clock, indexed like the input rows (ComputeGram) or the test
-	// rows (ComputeCrossStates) — the ground truth for calibrating
-	// EstimateRowCost online. Each entry is recorded by the rank that owns
-	// the row; a cache hit records the (tiny) lookup time rather than a
-	// simulation.
+	// wall-clock, indexed like the input rows — the ground truth for
+	// calibrating EstimateRowCost online. Each entry is recorded by the rank
+	// that owns the row; a cache hit records the (tiny) lookup time rather
+	// than a simulation.
 	ObservedRowCosts []time.Duration
 }
 
@@ -294,38 +283,6 @@ func ComputeGram(q *kernel.Quantum, X [][]float64, opts Options) (*Result, error
 	return &Result{Gram: gram, Wall: time.Since(start), Procs: stats, States: retain, ObservedRowCosts: rowCosts}, nil
 }
 
-// ComputeCrossStates computes the inference kernel against pre-simulated
-// training states — the handles a trained model retained from its
-// ComputeGram result. Only the test rows are simulated (consulting the
-// state cache when one is configured); the training side is already
-// resident on every process, so the exchange phase disappears entirely and
-// the computation is communication-free on every transport.
-func ComputeCrossStates(q *kernel.Quantum, testX [][]float64, trainStates []*mps.MPS, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := validate(q, opts.Procs); err != nil {
-		return nil, err
-	}
-	for i, st := range trainStates {
-		if st == nil {
-			return nil, fmt.Errorf("dist: nil training state %d", i)
-		}
-		// A test row of the wrong width surfaces as a graceful
-		// circuit-build error; a training handle of the wrong width must
-		// too, not a panic inside the overlap zipper.
-		if st.N != q.Ansatz.Qubits {
-			return nil, fmt.Errorf("dist: training state %d has %d qubits, ansatz has %d", i, st.N, q.Ansatz.Qubits)
-		}
-	}
-	start := time.Now()
-	gram := rect(len(testX), len(trainStates))
-	stats := newStats(opts.Procs)
-	rowCosts := make([]time.Duration, len(testX))
-	if err := runCrossLocal(q, testX, trainStates, gram, stats, rowCosts, opts.Span); err != nil {
-		return nil, err
-	}
-	return &Result{Gram: gram, Wall: time.Since(start), Procs: stats, ObservedRowCosts: rowCosts}, nil
-}
-
 func validate(q *kernel.Quantum, procs int) error {
 	if q == nil {
 		return fmt.Errorf("dist: nil quantum kernel")
@@ -355,13 +312,9 @@ func ownedIndices(n, k, p int) []int {
 }
 
 func square(n int) [][]float64 {
-	return rect(n, n)
-}
-
-func rect(rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
+	m := make([][]float64, n)
 	for i := range m {
-		m[i] = make([]float64, cols)
+		m[i] = make([]float64, n)
 	}
 	return m
 }
@@ -373,15 +326,6 @@ func mirror(gram [][]float64) {
 			gram[j][i] = gram[i][j]
 		}
 	}
-}
-
-// simErrf formats a simulation failure; label names the shard ("test") or
-// is empty for a training-Gram shard.
-func simErrf(rank int, label string, index int, err error) error {
-	if label != "" {
-		return fmt.Errorf("dist: proc %d: %s state %d: %w", rank, label, index, err)
-	}
-	return fmt.Errorf("dist: proc %d: state %d: %w", rank, index, err)
 }
 
 func firstError(errs []error) error {

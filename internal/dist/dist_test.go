@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -244,38 +243,6 @@ func TestWorkAccounting(t *testing.T) {
 	}
 	if totals[NoMessaging] <= n {
 		t.Fatalf("no-messaging simulated %d states, expected redundancy beyond %d", totals[NoMessaging], n)
-	}
-}
-
-// TestComputeCrossAgreesWithSerial: the inference kernel computed from the
-// training states a ComputeGram retained is bit-identical to the serial
-// kernel.Cross at every process count, with every test×train overlap
-// computed exactly once.
-func TestComputeCrossAgreesWithSerial(t *testing.T) {
-	X := testData(t, 13, 6)
-	testRows, trainRows := X[:4], X[4:]
-	q := testKernel(6)
-	ref, err := q.Cross(testRows, trainRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gramRes, err := ComputeGram(q, trainRows, Options{Procs: 3, Strategy: RoundRobin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 3, 6} {
-		res, err := ComputeCrossStates(q, testRows, gramRes.States, Options{Procs: k})
-		if err != nil {
-			t.Fatalf("procs=%d: %v", k, err)
-		}
-		checkIdentical(t, fmt.Sprintf("cross procs=%d", k), ref, res.Gram)
-		pairs := 0
-		for _, ps := range res.Procs {
-			pairs += ps.InnerProducts
-		}
-		if pairs != len(testRows)*len(trainRows) {
-			t.Fatalf("procs=%d: %d inner products, want %d", k, pairs, len(testRows)*len(trainRows))
-		}
 	}
 }
 

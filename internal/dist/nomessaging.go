@@ -58,7 +58,7 @@ func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	sp.SetAttr("rows", len(owned))
 	simSp := sp.Child("simulate")
 	st.SimTime = timed(func() {
-		simErr = simulateOwned(q, X, needed, local, pl, st, "", costs, simSp)
+		simErr = simulateOwned(q, X, needed, local, pl, st, costs, simSp)
 	})
 	simSp.End()
 	if simErr != nil {

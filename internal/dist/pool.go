@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -126,34 +127,30 @@ func (pl pool) runSlot(n int, f func(slot, i int)) {
 // through the cache-aware per-row kernel path: pool workers claim one row at
 // a time and simulate it through their slot's SimWorkspace. Results land in
 // dst (parallel to owned) with per-process simulation/hit counts recorded
-// into st. costs (parallel to owned; nil to skip) receives each row's own
-// measured wall-clock — always positive, the per-row ground truth that
-// calibrates EstimateRowCost. sp (nil to skip) receives one child span per
-// row carrying the row index, shard label, cache outcome and resulting χ.
-// Returns the first error by owned position; label names the shard in
-// errors.
-func simulateOwned(q *kernel.Quantum, X [][]float64, owned []int, dst []*mps.MPS, pl pool, st *ProcStats, label string, costs []time.Duration, sp *obs.Span) error {
+// into st. costs (parallel to owned) receives each row's own measured
+// wall-clock — always positive, the per-row ground truth that calibrates
+// EstimateRowCost. sp (nil to skip) receives one child span per row carrying
+// the row index, cache outcome and resulting χ. Returns the first error by
+// owned position.
+func simulateOwned(q *kernel.Quantum, X [][]float64, owned []int, dst []*mps.MPS, pl pool, st *ProcStats, costs []time.Duration, sp *obs.Span) error {
 	hits := make([]bool, len(owned))
 	errs := make([]error, len(owned))
 	pl.runSlot(len(owned), func(slot, a int) {
 		rowSp := sp.Child("row")
 		rowSp.SetAttr("row", owned[a])
-		if label != "" {
-			rowSp.SetAttr("shard", label)
-		}
 		t0 := time.Now()
 		s, hit, err := q.StateCachedSpan(X[owned[a]], pl.simWorkspace(slot), rowSp)
-		if costs != nil {
-			costs[a] = max(time.Since(t0), time.Nanosecond)
-		}
+		costs[a] = max(time.Since(t0), time.Nanosecond)
 		if err != nil {
 			rowSp.SetAttr("error", err.Error())
 			rowSp.End()
-			errs[a] = simErrf(st.Rank, label, owned[a], err)
+			errs[a] = fmt.Errorf("dist: proc %d: state %d: %w", st.Rank, owned[a], err)
 			return
 		}
-		rowSp.SetAttr("hit", hit)
-		rowSp.SetAttr("chi", s.MaxBond())
+		if rowSp != nil {
+			rowSp.SetAttr("hit", hit)
+			rowSp.SetAttr("chi", s.MaxBond())
+		}
 		rowSp.End()
 		dst[a], hits[a] = s, hit
 	})

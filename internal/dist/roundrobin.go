@@ -67,7 +67,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	var simErr error
 	simSp := sp.Child("simulate")
 	st.SimTime = timed(func() {
-		simErr = simulateOwned(q, X, owned, states, pl, st, "", costs, simSp)
+		simErr = simulateOwned(q, X, owned, states, pl, st, costs, simSp)
 	})
 	simSp.End()
 	if simErr != nil {

@@ -43,28 +43,40 @@ type Quantum struct {
 	// consumer in this repository does (overlaps and serialisation only).
 	Cache *statecache.Cache
 
-	// prog is Ansatz compiled (circuit.Compile), keyed by the Ansatz value
-	// it was compiled from so a reassigned Ansatz recompiles.
-	prog atomic.Pointer[compiled]
+	// built holds the Fingerprint of Ansatz and Config and, once a row is
+	// simulated, Ansatz compiled (circuit.Compile), keyed by the values they
+	// were built from so a reassigned Ansatz or Config rebuilds both.
+	built atomic.Pointer[compiled]
 }
 
-// compiled is one Compile result and the ansatz it came from.
+// compiled is the fingerprint and the compiled program of one Ansatz and
+// Config value.
 type compiled struct {
-	a   circuit.Ansatz
-	p   *circuit.Program
-	err error
+	a    circuit.Ansatz
+	cfg  mps.Config
+	fp   string
+	once sync.Once
+	p    *circuit.Program
+	err  error
 }
 
-// program returns the compiled feature map of q.Ansatz, compiling it on
-// first use and again whenever Ansatz has been reassigned since. Concurrent
-// first uses may each compile; they compile the same program.
-func (q *Quantum) program() (*circuit.Program, error) {
-	c := q.prog.Load()
-	if c == nil || c.a != q.Ansatz {
-		p, err := circuit.Compile(q.Ansatz)
-		c = &compiled{a: q.Ansatz, p: p, err: err}
-		q.prog.Store(c)
+// compiled returns the fingerprint and program holder for q's current
+// Ansatz and Config, making a new one on first use and whenever either has
+// been reassigned since. Concurrent first uses may each make one; they hold
+// the same values.
+func (q *Quantum) compiled() *compiled {
+	c := q.built.Load()
+	if c == nil || c.a != q.Ansatz || c.cfg != q.Config {
+		c = &compiled{a: q.Ansatz, cfg: q.Config, fp: fingerprint(q.Ansatz, q.Config)}
+		q.built.Store(c)
 	}
+	return c
+}
+
+// program compiles the feature map on first use, so a Fingerprint alone (a
+// model load's integrity check) never pays for a compile.
+func (c *compiled) program() (*circuit.Program, error) {
+	c.once.Do(func() { c.p, c.err = circuit.Compile(c.a) })
 	return c.p, c.err
 }
 
@@ -82,19 +94,21 @@ func (q *Quantum) workers() int {
 // zero-value Config aliases (nil backend → serial, zero budget → default)
 // are normalised so equivalent configurations share entries. The three
 // literal false slots keep the format every saved model was written with.
-func (q *Quantum) Fingerprint() string {
+// The string is built once per Ansatz and Config value, not once per row.
+func (q *Quantum) Fingerprint() string { return q.compiled().fp }
+
+func fingerprint(a circuit.Ansatz, cfg mps.Config) string {
 	be := "serial"
-	if q.Config.Backend != nil {
-		be = q.Config.Backend.Name()
+	if cfg.Backend != nil {
+		be = cfg.Backend.Name()
 	}
-	tb := q.Config.TruncationBudget
+	tb := cfg.TruncationBudget
 	if tb == 0 {
 		tb = mps.DefaultTruncationBudget
 	}
-	a := q.Ansatz
 	return fmt.Sprintf("ansatz:%d/%d/%d/%x|cfg:%s/%x/%d/false/%t/false/false",
 		a.Qubits, a.Layers, a.Distance, math.Float64bits(a.Gamma),
-		be, math.Float64bits(tb), q.Config.MaxBond, q.Config.RecordMemory)
+		be, math.Float64bits(tb), cfg.MaxBond, cfg.RecordMemory)
 }
 
 // simulate runs the feature-map circuit for one data point unconditionally:
@@ -106,7 +120,7 @@ func (q *Quantum) Fingerprint() string {
 // reused; nil borrows an idle one for the row. The returned state shares no
 // storage with sw and may outlive it (cache residency, model retention).
 func (q *Quantum) simulate(x []float64, sw *mps.SimWorkspace) (*mps.MPS, error) {
-	p, err := q.program()
+	p, err := q.compiled().program()
 	if err != nil {
 		return nil, err
 	}
@@ -145,50 +159,109 @@ func (q *Quantum) StateCachedSpan(x []float64, sw *mps.SimWorkspace, sp *obs.Spa
 		st, err = q.simulate(x, sw)
 		return st, false, err
 	}
-	key := statecache.KeyFor(q.Fingerprint(), x)
+	key := statecache.KeyFor(q.compiled().fp, x)
 	return q.Cache.GetOrComputeTraced(key, sp, func() (*mps.MPS, error) { return q.simulate(x, sw) })
 }
 
-// BandWidth is the number of rows a States worker claims per step. It is
-// always 1: every worker claims one row at a time, so no core idles while
-// another still holds unclaimed rows.
+// BandWidth is the number of rows a States or CrossStates worker claims per
+// step. It is always 1: every worker claims one row at a time, so no core
+// idles while another still holds unclaimed rows.
 func (q *Quantum) BandWidth() int { return 1 }
 
 // States simulates every row of X on a bounded worker pool — the
-// linear-cost stage of the framework. Exactly min(workers, len(X))
-// goroutines are launched; each acquires one idle SimWorkspace for the call
-// and claims rows one at a time through an atomic cursor, so a 100k-row
-// dataset costs 100k simulations but only a handful of goroutines, and a
-// warm worker's row allocates only its finished state. Every state is the
-// one State would return for its row.
+// linear-cost stage of the framework. Rows are scheduled as eachRow does, so
+// a 100k-row dataset costs 100k simulations but only a handful of
+// goroutines, and a warm worker's row allocates only its finished state.
+// Every state is the one State would return for its row.
 func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
 	states := make([]*mps.MPS, len(X))
 	errs := make([]error, len(X))
-	w := min(q.workers(), len(X))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sw := mps.AcquireSimWorkspace()
-			defer sw.Release()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(X) {
-					return
-				}
-				states[i], _, errs[i] = q.StateCachedSpan(X[i], sw, nil)
-			}
-		}()
-	}
-	wg.Wait()
+	q.eachRow(len(X), func(i int, sw *mps.SimWorkspace, _ *mps.Workspace) {
+		states[i], _, errs[i] = q.StateCachedSpan(X[i], sw, nil)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("kernel: state %d: %w", i, err)
 		}
 	}
 	return states, nil
+}
+
+// CrossStates is the inference kernel: testX against training states that
+// are already simulated (a model's retained handles, the paper's "store the
+// MPS"), so only the test rows are simulated and nothing is exchanged. Each
+// test row is one task — materialised through StateCachedSpan, then its
+// overlaps with every training state fill its row — scheduled as eachRow
+// does. Every entry is == to CrossFromStates(States(testX), train). sp, when
+// non-nil, receives one "row" child per test row carrying its index and
+// cache outcome.
+func (q *Quantum) CrossStates(testX [][]float64, train []*mps.MPS, sp *obs.Span) ([][]float64, error) {
+	for j, st := range train {
+		if st == nil {
+			return nil, fmt.Errorf("kernel: nil training state %d", j)
+		}
+		// A test row of the wrong width fails its circuit build; a training
+		// state of the wrong width must fail too, not panic in the overlap.
+		if st.N != q.Ansatz.Qubits {
+			return nil, fmt.Errorf("kernel: training state %d has %d qubits, ansatz has %d", j, st.N, q.Ansatz.Qubits)
+		}
+	}
+	k := make([][]float64, len(testX))
+	errs := make([]error, len(testX))
+	q.eachRow(len(testX), func(i int, sw *mps.SimWorkspace, ws *mps.Workspace) {
+		rowSp := sp.Child("row")
+		defer rowSp.End()
+		rowSp.SetAttr("row", i)
+		st, hit, err := q.StateCachedSpan(testX[i], sw, rowSp)
+		if err != nil {
+			rowSp.SetAttr("error", err.Error())
+			errs[i] = err
+			return
+		}
+		rowSp.SetAttr("hit", hit)
+		row := make([]float64, len(train))
+		for j, tr := range train {
+			row[j] = ws.Overlap(st, tr)
+		}
+		k[i] = row
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("kernel: test state %d: %w", i, err)
+		}
+	}
+	return k, nil
+}
+
+// eachRow runs task(i, …) for every row i in [0, n). Rows are claimed one at
+// a time through an atomic cursor by min(Workers, n) goroutines, so no core
+// idles while another still holds unclaimed rows; each goroutine holds one
+// simulation and one overlap workspace from mps's idle sets for the whole
+// call. A single worker runs the rows on the caller's goroutine.
+func (q *Quantum) eachRow(n int, task func(i int, sw *mps.SimWorkspace, ws *mps.Workspace)) {
+	var next atomic.Int64
+	run := func() {
+		sw, ws := mps.AcquireSimWorkspace(), mps.AcquireWorkspace()
+		defer sw.Release()
+		defer ws.Release()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			task(i, sw, ws)
+		}
+	}
+	w := min(q.workers(), n)
+	if w == 1 {
+		run()
+		return
+	}
+	var wg sync.WaitGroup
+	for range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
 }
 
 // Gram computes the full symmetric Gram matrix for X: simulate each state

@@ -44,7 +44,8 @@ type SimWorkspace struct {
 
 	// Simulate's per-worker state: the circuit a row is bound into, the
 	// scratch state reset to |0…0⟩ per row, and the serial backend that
-	// stands in for a nil Config.Backend (made once, not once per row).
+	// stands in for a nil Config.Backend (made once, not once per row, and
+	// one per worker so that workers never share its counters).
 	circ    circuit.Circuit
 	scratch *MPS
 	serial  backend.Backend

@@ -52,11 +52,6 @@ type Batcher struct {
 	done  chan struct{}
 	once  sync.Once
 	start time.Time
-	// gate, when non-nil, must yield a value before a dispatcher takes its
-	// next job from the queue (a closed gate never holds). Tests use it to
-	// keep every dispatcher busy while they queue requests; nil in
-	// production. Close drains the queue regardless of the gate.
-	gate chan struct{}
 
 	// reqHist observes end-to-end request latency (enqueue → scatter) and
 	// qwHist its queue-wait component (enqueue → batch dispatch); confHist
@@ -83,11 +78,6 @@ type Batcher struct {
 // should be the framework's own (Fit output or core.LoadModel pair): width
 // mismatches are rejected here rather than per-request.
 func New(fw *core.Framework, model *core.Model, cfg Config) (*Batcher, error) {
-	return newBatcher(fw, model, cfg, nil)
-}
-
-// newBatcher is New with a dispatch gate (see Batcher.gate).
-func newBatcher(fw *core.Framework, model *core.Model, cfg Config, gate chan struct{}) (*Batcher, error) {
 	if fw == nil || model == nil || model.SVM == nil {
 		return nil, fmt.Errorf("serve: nil framework or model")
 	}
@@ -102,7 +92,6 @@ func newBatcher(fw *core.Framework, model *core.Model, cfg Config, gate chan str
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		start:    time.Now(),
-		gate:     gate,
 		reqHist:  obs.NewHistogram(),
 		qwHist:   obs.NewHistogram(),
 		confHist: obs.NewHistogram(confidenceBounds...),
@@ -257,7 +246,6 @@ func (s *Batcher) Stats() Stats {
 		WaitWall:          s.waitWall,
 		Cache:             s.fw.CacheStats(),
 		Comm:              s.fw.CommStats(),
-		RowCosts:          s.fw.RowCostStats(),
 		RequestSeconds:    s.reqHist.Snapshot(),
 		QueueWaitSeconds:  s.qwHist.Snapshot(),
 		ConfidenceBuckets: s.confHist.Snapshot(),
@@ -274,9 +262,9 @@ func (s *Batcher) Stats() Stats {
 // closes.
 func (s *Batcher) dispatch() {
 	for {
-		if s.gate != nil {
+		if s.cfg.Gate != nil {
 			select {
-			case <-s.gate:
+			case <-s.cfg.Gate:
 			case <-s.stop:
 				s.drain()
 				return

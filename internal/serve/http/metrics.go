@@ -12,10 +12,10 @@ import (
 
 // handleMetrics renders the counters in the Prometheus text exposition
 // format with a {model="..."} label dimension on every per-model family —
-// the serve-side request/batch/latency counters, each model's state-cache
-// hit and latency counters, and each model framework's distributed-wire
-// counters — plus the router-level qkernel_serve_rejects_total{reason=...}
-// split between rate-limit and queue-full 429s.
+// the serve-side request/batch/latency counters and each model's
+// state-cache hit and latency counters — plus the router-level
+// qkernel_serve_rejects_total{reason=...} split between rate-limit and
+// queue-full 429s.
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	stats := rt.reg.Stats()
 	names := make([]string, 0, len(stats))
@@ -80,14 +80,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st serve.Stats) float64 { return float64(st.Cache.Budget) })
 	family("qkernel_statecache_entries", "gauge", "resident state-cache entries",
 		func(st serve.Stats) float64 { return float64(st.Cache.Entries) })
-	family("qkernel_dist_computations_total", "counter", "distributed kernel computations run",
-		func(st serve.Stats) float64 { return float64(st.Comm.Computations) })
-	family("qkernel_dist_messages_total", "counter", "shard messages sent on the wire",
-		func(st serve.Stats) float64 { return float64(st.Comm.Messages) })
-	family("qkernel_dist_bytes_total", "counter", "framed shard bytes sent on the wire",
-		func(st serve.Stats) float64 { return float64(st.Comm.Bytes) })
-	family("qkernel_dist_comm_seconds_total", "counter", "summed per-process communication wall-clock",
-		func(st serve.Stats) float64 { return st.Comm.CommWall.Seconds() })
 
 	// Latency histograms: one family declaration, one {model=...} labelset
 	// per model, cumulative le buckets ending at +Inf plus _sum/_count —
@@ -104,11 +96,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(st serve.Stats) obs.HistogramSnapshot { return st.QueueWaitSeconds })
 	histFamily("qkernel_serve_confidence", "per-row conformal confidence of calibrated predictions",
 		func(st serve.Stats) obs.HistogramSnapshot { return st.ConfidenceBuckets })
-
-	sb.WriteString("# HELP qkernel_dist_transport configured shard wire per model (value fixed at 1)\n# TYPE qkernel_dist_transport gauge\n")
-	for _, model := range names {
-		fmt.Fprintf(&sb, "qkernel_dist_transport{model=%q,name=%q} 1\n", model, stats[model].Comm.Transport)
-	}
 
 	// Router-level rejects, split by reason: rate-limit and queue-full are
 	// distinct failure modes (per-client budget vs whole-server saturation),

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -255,22 +254,24 @@ func TestRateLimit429(t *testing.T) {
 
 // TestQueueFull429 is the saturation half: a full queue answers 429 with the
 // fixed transient Retry-After: 1, no rate-limit headers, and its own reject
-// reason.
+// reason. The dispatchers are held while the burst arrives, so exactly one
+// request fills the depth-1 queue and every other one is shed, however fast
+// a prediction is.
 func TestQueueFull429(t *testing.T) {
-	st := newStack(t, serve.Config{MaxBatch: 1, QueueDepth: 1}, Config{})
+	gate := make(chan struct{})
+	st := newStack(t, serve.Config{MaxBatch: 1, QueueDepth: 1, Gate: gate}, Config{})
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(open) // runs before the stack's, so a failed run still drains
 	const burst = 24
+	codes := make(chan int, burst)
 	var wg sync.WaitGroup
-	var shed, served atomic.Int64
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			resp, _ := postPredict(t, st.ts.URL+"/v1/models/alpha/predict", st.testX[i%len(st.testX):i%len(st.testX)+1])
-			switch resp.StatusCode {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusTooManyRequests:
-				shed.Add(1)
+			if resp.StatusCode == http.StatusTooManyRequests {
 				if ra := resp.Header.Get("Retry-After"); ra != "1" {
 					t.Errorf("queue-full Retry-After %q, want fixed 1", ra)
 				}
@@ -278,15 +279,29 @@ func TestQueueFull429(t *testing.T) {
 					t.Error("queue-full 429 carries rate-limit headers")
 				}
 			}
+			codes <- resp.StatusCode
 		}(i)
 	}
+	// Only the shed requests can answer while the gate is shut; once they
+	// have, open it so the queued one is served.
+	var shed, served int
+	for shed < burst-1 {
+		if code := <-codes; code != http.StatusTooManyRequests {
+			t.Fatalf("request answered %d while every dispatcher was held", code)
+		}
+		shed++
+	}
+	open()
 	wg.Wait()
-	if shed.Load() == 0 || served.Load() == 0 {
-		t.Fatalf("burst outcome shed=%d served=%d, want both nonzero", shed.Load(), served.Load())
+	if code := <-codes; code == http.StatusOK {
+		served++
+	}
+	if shed == 0 || served == 0 {
+		t.Fatalf("burst outcome shed=%d served=%d, want both nonzero", shed, served)
 	}
 	text := getMetrics(t, st.ts.URL)
 	if !strings.Contains(text, `qkernel_serve_rejects_total{reason="queue_full"} `+
-		fmt.Sprint(shed.Load())) {
+		fmt.Sprint(shed)) {
 		t.Fatalf("queue_full rejects not counted:\n%s", grepLines(text, "rejects_total"))
 	}
 }
@@ -494,8 +509,6 @@ func TestMetricsPerModelLabels(t *testing.T) {
 		`qkernel_serve_cross_calls_total{model="alpha"} 1`,
 		`qkernel_statecache_misses_total{model="alpha"}`,
 		`qkernel_statecache_budget_bytes{model="beta"}`,
-		`qkernel_dist_computations_total{model="alpha"}`,
-		`qkernel_dist_transport{model="alpha",name="chan"} 1`,
 		`qkernel_serve_model_info{model="alpha",fingerprint=`,
 	} {
 		if !strings.Contains(text, want) {
@@ -509,7 +522,8 @@ func TestMetricsPerModelLabels(t *testing.T) {
 
 	var stats Stats
 	getJSON(t, st.ts.URL+"/stats", &stats)
-	if stats.Models["alpha"].Requests != 1 || stats.Models["alpha"].Comm.Transport != "chan" {
+	// A served model never fits, so its wire counters stay zero.
+	if a := stats.Models["alpha"]; a.Requests != 1 || a.Comm.Transport != "chan" || a.Comm.Messages != 0 || a.Comm.Computations != 0 {
 		t.Fatalf("stats: %+v", stats.Models["alpha"])
 	}
 	if _, ok := stats.Models["beta"]; !ok {

@@ -85,9 +85,6 @@ type Config struct {
 	// every model's saved CacheBytes setting (no shared cap); negative
 	// disables caching (and retained-state rehydration) for every model.
 	CacheBudget int64
-	// Procs overrides the saved per-model simulated process count (0 keeps
-	// each model's saved setting).
-	Procs int
 	// Batch is the per-model micro-batching configuration.
 	Batch serve.Config
 }
@@ -168,7 +165,7 @@ func Open(specs []Spec, cfg Config) (*Registry, error) {
 }
 
 // load builds one Instance from a model file, applying the registry's
-// runtime tuning (cache share, procs). core.LoadModelTuned verifies the
+// runtime tuning (its cache share). core.LoadModelTuned verifies the
 // simulation-context fingerprint, so a drifted or corrupt file can never
 // become an Instance.
 func (r *Registry) load(path string) (*Instance, error) {
@@ -179,9 +176,6 @@ func (r *Registry) load(path string) (*Instance, error) {
 	fw, model, err := core.LoadModelTuned(path, func(o *core.Options) {
 		if r.share != 0 {
 			o.CacheBytes = r.share
-		}
-		if r.cfg.Procs > 0 {
-			o.Procs = r.cfg.Procs
 		}
 	})
 	if err != nil {

@@ -97,6 +97,11 @@ type Config struct {
 	// time. Nil disables batch traces; the latency histograms below are
 	// always live.
 	Obs *obs.Tracer
+	// Gate, when non-nil, must yield a value before a dispatcher takes its
+	// next job from the queue (a closed gate never holds). Tests use it to
+	// hold every dispatcher while they fill the queue; leave it nil to
+	// serve. Close drains the queue regardless of the gate.
+	Gate <-chan struct{}
 }
 
 func (c Config) withDefaults() Config {
@@ -143,14 +148,10 @@ type Stats struct {
 	// Cache snapshots the model's state cache (hit/latency counters).
 	Cache statecache.Stats
 	// Comm snapshots the model framework's cumulative distributed-wire
-	// counters (transport name, messages, bytes, comm wall-clock) — zero
-	// message and byte counts are the signature of the communication-free
-	// retained-state inference path.
+	// counters (transport name, messages, bytes, comm wall-clock). Only a
+	// Fit sends shard messages and a server never fits, so the counts read
+	// zero by construction.
 	Comm core.CommStats
-	// RowCosts summarises the measured per-row state-materialisation costs
-	// across every kernel computation the model's framework has run — the
-	// EstimateRowCost calibration signal, surfaced in /stats.
-	RowCosts core.RowCostSummary
 	// RequestSeconds is the end-to-end request latency histogram (enqueue to
 	// scatter) and QueueWaitSeconds the queue-wait component (enqueue to
 	// batch dispatch), both in cumulative Prometheus form — the /metrics

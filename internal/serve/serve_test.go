@@ -56,7 +56,8 @@ func newGatedBatcher(t *testing.T, cfg Config) (*Batcher, chan struct{}, *core.F
 	t.Helper()
 	fw, model, testX := trainSmall(t, 6)
 	gate := make(chan struct{})
-	s, err := newBatcher(fw, model, cfg, gate)
+	cfg.Gate = gate
+	s, err := New(fw, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,8 @@ func TestCloseDrains(t *testing.T) {
 		{MaxBatch: 3, QueueDepth: 64},
 	} {
 		fw, model, testX := trainSmall(t, 6)
-		s, err := newBatcher(fw, model, cfg, make(chan struct{}))
+		cfg.Gate = make(chan struct{})
+		s, err := New(fw, model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,8 @@
 # JSON (obscheck asserts the fit→gram→rank→row span tree), then serves the
 # model with tracing and pprof enabled, fires a predict, and asserts:
 #   - the response carries an X-Request-Id whose /debug/trace/{id} tree has
-#     the queue_wait/batch_compute/scatter phases,
+#     the queue_wait/batch_compute/scatter phases, and the batch trace that
+#     batch_compute links carries the cross_kernel span and its row spans,
 #   - /metrics parses with both latency histogram families (obscheck checks
 #     the le="+Inf" bucket equals _count per labelset),
 #   - /debug/pprof/profile on the side port returns a real CPU profile.
@@ -84,6 +85,22 @@ for phase in queue_wait batch_compute scatter; do
         exit 1
     fi
 done
+# batch_compute is the one request span that links, and it links the batch.
+batch_id=$(grep -o '"links":\["batch-[0-9a-f]*"' "$tmp/reqtrace.json" |
+    grep -o 'batch-[0-9a-f]*' | head -n 1 || true)
+if [ -z "$batch_id" ]; then
+    echo "obs-smoke: batch_compute of $req_id links no batch trace" >&2
+    cat "$tmp/reqtrace.json" >&2
+    exit 1
+fi
+curl -s "$url/debug/trace/$batch_id" >"$tmp/batchtrace.json"
+for span in cross_kernel row; do
+    if ! grep -q "\"name\":\"$span\"" "$tmp/batchtrace.json"; then
+        echo "obs-smoke: batch trace $batch_id missing span $span" >&2
+        cat "$tmp/batchtrace.json" >&2
+        exit 1
+    fi
+done
 
 # 4. /metrics parses and both latency histogram families are well-formed.
 curl -s "$url/metrics" >"$tmp/metrics.txt"
@@ -97,4 +114,4 @@ if [ ! -s "$tmp/profile.pb" ]; then
     exit 1
 fi
 
-echo "obs-smoke: OK — trace $(wc -c <"$tmp/trace.json") bytes, request $req_id traced, histograms parse, pprof $(wc -c <"$tmp/profile.pb") bytes"
+echo "obs-smoke: OK — trace $(wc -c <"$tmp/trace.json") bytes, request $req_id traced in batch $batch_id, histograms parse, pprof $(wc -c <"$tmp/profile.pb") bytes"
