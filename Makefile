@@ -12,9 +12,11 @@ build:
 	$(GO) build ./...
 
 # bench/ is its own module, so ./... does not reach it; it is vetted
-# explicitly, as `make test` tests it.
+# explicitly, as `make test` tests it. The arm64 pass type-checks the portable
+# fallbacks that amd64 builds replace with assembly (internal/linalg/axpy_*).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) -C bench vet ./...
 
 fmt-check:

@@ -123,7 +123,7 @@ func mulRowsTiled(a, b, c *Matrix, lo, hi int) {
 }
 
 // mulRowsBlock accumulates the contraction slice [pLo, pHi) of c = a·b into
-// rows [lo, hi) of c.
+// rows [lo, hi) of c, one axpy per nonzero a entry.
 func mulRowsBlock(a, b, c *Matrix, lo, hi, pLo, pHi int) {
 	n := b.Cols
 	k := a.Cols
@@ -135,10 +135,7 @@ func mulRowsBlock(a, b, c *Matrix, lo, hi, pLo, pHi int) {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			axpy(crow, b.Data[p*n:(p+1)*n], av)
 		}
 	}
 }
@@ -239,10 +236,7 @@ func adjARowsBlock(dst, a, b *Matrix, iLo, iHi int) {
 			if cv == 0 {
 				continue
 			}
-			crow := dst.Data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += cv * bv
-			}
+			axpy(dst.Data[i*n:(i+1)*n], brow, cv)
 		}
 	}
 }

@@ -10,6 +10,16 @@
 // precision).
 //
 // All matrices are dense, row-major, complex128.
+//
+// The dense products (MatMulInto, MatMulAdjAInto and the truncation SVD's
+// Gram) run their inner loop through one row update, axpy:
+// dst[j] += a·src[j]. On amd64 CPUs with AVX (CPUID plus XGETBV, checked
+// once at init) rows of at least axpyMinLen = 8 values go to an assembly
+// kernel holding two complex128 values per YMM register; shorter rows, CPUs
+// without AVX and every other GOARCH run the Go loop. The kernel forms each
+// product as Go does, two rounded products and then one rounded sum or
+// difference, and uses no FMA, whose single rounding would change the bits:
+// the path taken never changes a result.
 package linalg
 
 import (

@@ -212,10 +212,7 @@ func gramHermInto(dst, a *Matrix, workers int) *Matrix {
 			if cv == 0 {
 				continue
 			}
-			crow := dst.Data[i*n : (i+1)*n]
-			for j := i; j < n; j++ {
-				crow[j] += cv * arow[j]
-			}
+			axpy(dst.Data[i*n+i:(i+1)*n], arow[i:], cv)
 		}
 	}
 	for i := 0; i < n; i++ {

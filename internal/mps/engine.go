@@ -3,7 +3,6 @@ package mps
 import (
 	"sync"
 
-	"repro/internal/backend"
 	"repro/internal/circuit"
 	"repro/internal/linalg"
 )
@@ -42,13 +41,10 @@ type SimWorkspace struct {
 	pending []complex128
 	has     []bool
 
-	// Simulate's per-worker state: the circuit a row is bound into, the
-	// scratch state reset to |0…0⟩ per row, and the serial backend that
-	// stands in for a nil Config.Backend (made once, not once per row, and
-	// one per worker so that workers never share its counters).
+	// Simulate's per-worker state: the circuit a row is bound into and the
+	// scratch state reset to |0…0⟩ per row.
 	circ    circuit.Circuit
 	scratch *MPS
-	serial  backend.Backend
 }
 
 // NewSimWorkspace returns an empty workspace; buffers grow lazily to the
@@ -94,16 +90,9 @@ func (w *SimWorkspace) Circuit() *circuit.Circuit { return &w.circ }
 // The engine runs on the workspace's scratch state, whose sites keep their
 // grow-only buffers from row to row; only the finished state is copied out,
 // as one slab (see CompactSites) carrying the centre, the truncation error,
-// the gate count and the memory ledger. A nil cfg.Backend selects one serial
-// backend kept by the workspace. Not safe for concurrent use, like the
-// workspace itself.
+// the gate count and the memory ledger. Not safe for concurrent use, like
+// the workspace itself.
 func (w *SimWorkspace) Simulate(c *circuit.Circuit, cfg Config) (*MPS, error) {
-	if cfg.Backend == nil {
-		if w.serial == nil {
-			w.serial = backend.NewSerial()
-		}
-		cfg.Backend = w.serial
-	}
 	st := w.scratch
 	if st == nil || st.N != c.NumQubits {
 		st = NewZeroState(c.NumQubits, cfg)
@@ -270,14 +259,14 @@ func (m *MPS) apply2(g *linalg.Matrix, qa, qb int) {
 	// theta[(l, s_q), (s_q1, r)] = Σ_k a[l, s_q, k] · b[k, s_q1, r]
 	av := viewMatrix(&ws.aview, 2*l, k, a.Data)
 	bv := viewMatrix(&ws.bview, k, 2*r, b.Data)
-	m.cfg.Backend.MatMulInto(&ws.theta, av, bv)
+	m.matMulInto(&ws.theta, av, bv)
 	fuseGate2(ws.theta.Data, g.Data, l, r)
 
 	// Two-phase truncation SVD: the cut is decided on the full spectrum,
 	// then Factors materialises (and re-orthonormalises) only the kept
 	// columns — the QR that dominates the decomposition runs on an m×keep
 	// panel instead of m×n.
-	ts := m.cfg.Backend.SVDTruncLazy(&ws.la, &ws.theta)
+	ts := m.svdTruncLazy(&ws.la, &ws.theta)
 	keep, discarded := m.truncationCut(ts.S)
 	m.TruncationError += discarded
 	um, vm := ts.Factors(keep)
@@ -318,7 +307,7 @@ func (m *MPS) moveCenterTo(q int) {
 		next := m.Sites[i+1] // (r,2,r2)
 		r2 := next.Shape[2]
 		bv := viewMatrix(&ws.bview, r, 2*r2, next.Data)
-		m.cfg.Backend.MatMulInto(&ws.absorb, rm, bv) // (kk × 2·r2)
+		m.matMulInto(&ws.absorb, rm, bv) // (kk × 2·r2)
 		site.Reuse3(l, 2, kk)
 		copy(site.Data, qm.Data)
 		next.Reuse3(kk, 2, r2)
@@ -335,13 +324,31 @@ func (m *MPS) moveCenterTo(q int) {
 		prev := m.Sites[i-1] // (l0,2,l)
 		l0 := prev.Shape[0]
 		bv := viewMatrix(&ws.bview, 2*l0, l, prev.Data)
-		m.cfg.Backend.MatMulInto(&ws.absorb, bv, lm) // (2·l0 × kk)
+		m.matMulInto(&ws.absorb, bv, lm) // (2·l0 × kk)
 		site.Reuse3(kk, 2, r)
 		copy(site.Data, qm.Data)
 		prev.Reuse3(l0, 2, kk)
 		copy(prev.Data, ws.absorb.Data)
 		m.center--
 	}
+}
+
+// matMulInto and svdTruncLazy are the engine's two calls into linalg: made
+// directly with a nil Config.Backend, through the backend (and its timers)
+// otherwise. The arithmetic is the same either way.
+func (m *MPS) matMulInto(dst, a, b *linalg.Matrix) {
+	if be := m.cfg.Backend; be != nil {
+		be.MatMulInto(dst, a, b)
+		return
+	}
+	linalg.MatMulInto(dst, a, b)
+}
+
+func (m *MPS) svdTruncLazy(ws *linalg.Workspace, a *linalg.Matrix) linalg.TruncSVD {
+	if be := m.cfg.Backend; be != nil {
+		return be.SVDTruncLazy(ws, a)
+	}
+	return linalg.SVDTruncLazy(ws, a, 1)
 }
 
 // swapQubitOrderInto writes the |ab⟩→|ba⟩ basis reordering of a 4×4 gate

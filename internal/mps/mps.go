@@ -39,8 +39,9 @@ const DefaultTruncationBudget = 1e-16
 
 // Config controls simulator behaviour.
 type Config struct {
-	// Backend supplies the contraction/decomposition kernels; nil selects
-	// the process's shared serial (CPU-role) backend.
+	// Backend supplies the contraction/decomposition kernels and times
+	// them; nil calls linalg's serial kernels directly, untimed, with the
+	// same arithmetic as the serial backend.
 	Backend backend.Backend
 	// TruncationBudget is the maximum discarded weight Σs²ᵢ per SVD
 	// truncation. Zero selects DefaultTruncationBudget; set to a negative
@@ -57,18 +58,7 @@ type Config struct {
 	RecordMemory bool
 }
 
-// serial is the backend of every state built or decoded with a nil
-// Config.Backend (NewZeroState, UnmarshalBinary): one for the process, not
-// one per state. Its counters are atomic, and nothing reads them. A
-// simulating worker keeps its own instead (SimWorkspace.Simulate): with two
-// workers bumping one set of counters on every gate, rows simulated ~4 %
-// slower.
-var serial = backend.NewSerial()
-
 func (c Config) withDefaults() Config {
-	if c.Backend == nil {
-		c.Backend = serial
-	}
 	if c.TruncationBudget == 0 {
 		c.TruncationBudget = DefaultTruncationBudget
 	}
@@ -397,10 +387,15 @@ func Inner(a, b *MPS) complex128 {
 }
 
 // InnerWith is Inner with an explicit backend, so the inner-product benchmark
-// can compare serial vs parallel execution on identical states.
+// can compare serial vs parallel execution on identical states. A nil be
+// runs linalg's serial product directly.
 func InnerWith(a, b *MPS, be backend.Backend) complex128 {
 	if a.N != b.N {
 		panic(fmt.Sprintf("mps: Inner on states of %d and %d qubits", a.N, b.N))
+	}
+	mul := linalg.MatMulSerial
+	if be != nil {
+		mul = be.MatMul
 	}
 	// env[i][j] carries ⟨a-prefix|b-prefix⟩ with open bra bond i, ket bond j.
 	env := linalg.NewMatrix(1, 1)
@@ -412,12 +407,12 @@ func InnerWith(a, b *MPS, be backend.Backend) complex128 {
 		lb, rb := bs.Shape[0], bs.Shape[2]
 		// T[i, s, rb] = Σ_j env[i,j]·bs[j,s,rb]
 		bmat := linalg.FromSlice(lb, 2*rb, bs.Data)
-		tm := be.MatMul(env, bmat) // (la, 2·rb)
+		tm := mul(env, bmat) // (la, 2·rb)
 		// env'[ra, rb] = Σ_{i,s} conj(as[i,s,ra]) · T[i,s,rb]
 		amat := linalg.FromSlice(la*2, ra, as.Data)
 		aH := amat.ConjTranspose() // (ra, la·2)
 		tmat := linalg.FromSlice(la*2, rb, tm.Data)
-		env = be.MatMul(aH, tmat)
+		env = mul(aH, tmat)
 	}
 	return env.At(0, 0)
 }

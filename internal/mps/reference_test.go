@@ -332,13 +332,22 @@ func applyReference(m *MPS, c *circuit.Circuit) error {
 	return nil
 }
 
+// referenceMul is the reference chain's matrix product: the state's
+// backend, or linalg's serial product for a nil Config.Backend.
+func referenceMul(m *MPS) func(a, b *linalg.Matrix) *linalg.Matrix {
+	if be := m.cfg.Backend; be != nil {
+		return be.MatMul
+	}
+	return linalg.MatMulSerial
+}
+
 // referenceApply1 contracts a single-qubit gate with the site tensor
 // (Fig. 1a); the centre is untouched.
 func referenceApply1(m *MPS, g *linalg.Matrix, q int) {
 	site := m.Sites[q] // (l, 2, r)
 	gt := tensorFromData(g.Data, 2, 2)
 	// out[l, r, s_out] = Σ_s site[l, s, r] · g[s_out, s]
-	out := ContractWith(site, gt, []int{1}, []int{1}, m.cfg.Backend.MatMul)
+	out := ContractWith(site, gt, []int{1}, []int{1}, referenceMul(m))
 	m.Sites[q] = out.Transpose(0, 2, 1)
 }
 
@@ -348,7 +357,7 @@ func referenceApply1(m *MPS, g *linalg.Matrix, q int) {
 // and split back, leaving the centre at q+1.
 func referenceApply2(m *MPS, g *linalg.Matrix, q int) {
 	referenceMoveCenterTo(m, q)
-	mul := m.cfg.Backend.MatMul
+	mul := referenceMul(m)
 	a, b := m.Sites[q], m.Sites[q+1]                               // (l,2,k) and (k,2,r)
 	merged := ContractWith(a, b, []int{2}, []int{0}, mul)          // (l, s_q, s_q1, r)
 	gt := tensorFromData(g.Data, 2, 2, 2, 2)                       // (o_q, o_q1, i_q, i_q1)
@@ -378,7 +387,7 @@ func referenceApply2(m *MPS, g *linalg.Matrix, q int) {
 // referenceMoveCenterTo shifts the orthogonality centre to site q with QR
 // (moving right) and LQ (moving left), building fresh tensors per step.
 func referenceMoveCenterTo(m *MPS, q int) {
-	mul := m.cfg.Backend.MatMul
+	mul := referenceMul(m)
 	for m.center < q {
 		i := m.center
 		qt, rt := QRDecompose(m.Sites[i], []int{0, 1})
