@@ -167,7 +167,7 @@ func TestBalancedReducesSimTimeSkew(t *testing.T) {
 	if err := runGramRoundRobin(mk(), X, gramNaive, retain, statsNaive, naiveIndices(len(X), k), Options{Procs: k}.withDefaults(), nil); err != nil {
 		t.Fatal(err)
 	}
-	mirror(gramNaive)
+	kernel.Mirror(gramNaive)
 
 	res, err := ComputeGram(mk(), X, Options{Procs: k, Strategy: RoundRobin})
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package dist is the simulated multi-process distribution layer of the
 // paper's section II-D and Fig. 4: it computes the training Gram matrix by
 // splitting the work across k simulated processes, each running on its own
-// goroutine with a private worker pool, and reproduces the two distribution
-// strategies whose trade-off the paper measures:
+// goroutine and scheduling its simulations and overlaps through
+// kernel.EachRow on an equal share of the kernel's workers, and reproduces
+// the two distribution strategies whose trade-off the paper measures:
 //
 //   - RoundRobin: states are sharded across processes; each process
 //     simulates only its shard and the shards are then exchanged through
@@ -25,6 +26,9 @@ package dist
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/kernel"
@@ -279,7 +283,7 @@ func ComputeGram(q *kernel.Quantum, X [][]float64, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	mirror(gram)
+	kernel.Mirror(gram)
 	return &Result{Gram: gram, Wall: time.Since(start), Procs: stats, States: retain, ObservedRowCosts: rowCosts}, nil
 }
 
@@ -319,13 +323,84 @@ func square(n int) [][]float64 {
 	return m
 }
 
-// mirror copies the computed upper triangle into the lower one.
-func mirror(gram [][]float64) {
-	for i := range gram {
-		for j := i + 1; j < len(gram); j++ {
-			gram[j][i] = gram[i][j]
+// rankSpan opens one rank's span under the computation's parent, on its own
+// display track (rank+1; track 0 stays with the coordinating caller).
+func rankSpan(parent *obs.Span, p int) *obs.Span {
+	sp := parent.Child("rank " + strconv.Itoa(p))
+	sp.SetTrack(p + 1)
+	return sp
+}
+
+// eachRank runs rank(p, sp) for every rank p in [0, k), each on its own
+// goroutine under its own rank span — a rank may block on its peers (the
+// round-robin barrier and exchange), so all k run at once — and returns the
+// first error by rank.
+func eachRank(k int, parent *obs.Span, rank func(p int, sp *obs.Span) error) error {
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for p := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := rankSpan(parent, p)
+			defer sp.End()
+			errs[p] = rank(p, sp)
+		}()
+	}
+	wg.Wait()
+	return firstError(errs)
+}
+
+// rankWorkers is each rank's kernel.EachRow worker count: the k simulated
+// ranks share the machine, so each gets an equal slice of the kernel's
+// concurrency bound (Quantum.Workers, ≤ 0 selecting GOMAXPROCS), at least
+// one.
+func rankWorkers(q *kernel.Quantum, k int) int {
+	total := q.Workers
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
+	}
+	return max(total/k, 1)
+}
+
+// simulateOwned materialises the states for the owned global indices of X
+// through the cache-aware per-row kernel path, one kernel.EachRow task per
+// row on workers goroutines. Results land in dst (parallel to owned) with
+// per-process simulation/hit counts recorded into st. costs (parallel to
+// owned) receives each row's own measured wall-clock — always positive, the
+// per-row ground truth that calibrates EstimateRowCost. sp (nil to skip)
+// receives one child span per row carrying the row index, cache outcome and
+// resulting χ. Returns the first error by owned position.
+func simulateOwned(q *kernel.Quantum, X [][]float64, owned []int, dst []*mps.MPS, workers int, st *ProcStats, costs []time.Duration, sp *obs.Span) error {
+	hits := make([]bool, len(owned))
+	errs := make([]error, len(owned))
+	kernel.EachRow(len(owned), workers, func(a int, sw *mps.SimWorkspace, _ *mps.Workspace) {
+		rowSp := sp.Child("row")
+		rowSp.SetAttr("row", owned[a])
+		t0 := time.Now()
+		s, hit, err := q.StateCachedSpan(X[owned[a]], sw, rowSp)
+		costs[a] = max(time.Since(t0), time.Nanosecond)
+		if err != nil {
+			rowSp.SetAttr("error", err.Error())
+			rowSp.End()
+			errs[a] = fmt.Errorf("dist: proc %d: state %d: %w", st.Rank, owned[a], err)
+			return
+		}
+		if rowSp != nil {
+			rowSp.SetAttr("hit", hit)
+			rowSp.SetAttr("chi", s.MaxBond())
+		}
+		rowSp.End()
+		dst[a], hits[a] = s, hit
+	})
+	for _, h := range hits {
+		if h {
+			st.CacheHits++
+		} else {
+			st.StatesSimulated++
 		}
 	}
+	return firstError(errs)
 }
 
 func firstError(errs []error) error {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -99,8 +100,9 @@ func TestParseStrategyRoundTrips(t *testing.T) {
 }
 
 // TestGramAgreesWithSerial is the package-local version of the integration
-// suite's metamorphic relation: every (strategy × procs) combination must
-// reproduce the serial Gram matrix to 1e-8.
+// suite's metamorphic relation: every (strategy × procs × workers)
+// combination must reproduce the serial Gram matrix bit for bit. Workers 1,
+// 2 and 3 give a rank one worker (rows on its own goroutine) or several.
 func TestGramAgreesWithSerial(t *testing.T) {
 	X := testData(t, 11, 8)
 	q := testKernel(8)
@@ -108,15 +110,18 @@ func TestGramAgreesWithSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{RoundRobin, NoMessaging} {
-		for _, k := range []int{1, 2, 5} {
-			res, err := ComputeGram(q, X, Options{Procs: k, Strategy: strat})
-			if err != nil {
-				t.Fatalf("%v procs=%d: %v", strat, k, err)
-			}
-			checkAgree(t, strat.String(), ref, res.Gram)
-			if len(res.Procs) != k {
-				t.Fatalf("%v procs=%d: %d stats entries", strat, k, len(res.Procs))
+	for _, workers := range []int{1, 2, 3} {
+		q.Workers = workers
+		for _, strat := range []Strategy{RoundRobin, NoMessaging} {
+			for _, k := range []int{1, 2, 5} {
+				res, err := ComputeGram(q, X, Options{Procs: k, Strategy: strat})
+				if err != nil {
+					t.Fatalf("%v procs=%d workers=%d: %v", strat, k, workers, err)
+				}
+				checkIdentical(t, fmt.Sprintf("%v procs=%d workers=%d", strat, k, workers), ref, res.Gram)
+				if len(res.Procs) != k {
+					t.Fatalf("%v procs=%d: %d stats entries", strat, k, len(res.Procs))
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/kernel"
@@ -20,19 +19,9 @@ import (
 // wall-clock at its global index.
 func runGramNoMessaging(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mps.MPS, stats []ProcStats, rowCosts []time.Duration, parent *obs.Span) error {
 	k := len(stats)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for p := 0; p < k; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sp := rankSpan(parent, p)
-			errs[p] = gramProcNM(q, X, gram, retain, &stats[p], k, rowCosts, sp)
-			sp.End()
-		}(p)
-	}
-	wg.Wait()
-	return firstError(errs)
+	return eachRank(k, parent, func(p int, sp *obs.Span) error {
+		return gramProcNM(q, X, gram, retain, &stats[p], k, rowCosts, sp)
+	})
 }
 
 func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mps.MPS, st *ProcStats, k int, rowCosts []time.Duration, sp *obs.Span) error {
@@ -42,8 +31,7 @@ func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	if len(owned) == 0 {
 		return nil
 	}
-	pl := procPool(q, k)
-	defer pl.release()
+	workers := rankWorkers(q, k)
 
 	// Phase 1: materialise every state from the first owned row onward —
 	// row i needs every column j ≥ i.
@@ -58,7 +46,7 @@ func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	sp.SetAttr("rows", len(owned))
 	simSp := sp.Child("simulate")
 	st.SimTime = timed(func() {
-		simErr = simulateOwned(q, X, needed, local, pl, st, costs, simSp)
+		simErr = simulateOwned(q, X, needed, local, workers, st, costs, simSp)
 	})
 	simSp.End()
 	if simErr != nil {
@@ -89,7 +77,7 @@ func gramProcNM(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	counts := make([]int, len(owned))
 	triSp := sp.Child("local_triangle")
 	st.InnerTime = timed(func() {
-		pl.runWS(len(owned), func(ws *mps.Workspace, a int) {
+		kernel.EachRow(len(owned), workers, func(a int, _ *mps.SimWorkspace, ws *mps.Workspace) {
 			i := owned[a]
 			for j := i; j < n; j++ {
 				gram[i][j] = ws.Overlap(states[i], states[j])

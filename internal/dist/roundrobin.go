@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,14 +9,6 @@ import (
 	"repro/internal/mps"
 	"repro/internal/obs"
 )
-
-// rankSpan opens one rank's span under the computation's parent, on its own
-// display track (rank+1; track 0 stays with the coordinating caller).
-func rankSpan(parent *obs.Span, p int) *obs.Span {
-	sp := parent.Child("rank " + strconv.Itoa(p))
-	sp.SetTrack(p + 1)
-	return sp
-}
 
 // runGramRoundRobin executes the round-robin strategy: one goroutine per
 // process, a simulation barrier, then the ring exchange of serialised shards
@@ -36,26 +27,15 @@ func runGramRoundRobin(q *kernel.Quantum, X [][]float64, gram [][]float64, retai
 	var simBarrier sync.WaitGroup
 	simBarrier.Add(k)
 	var failed atomic.Bool
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for p := 0; p < k; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sp := rankSpan(opts.Span, p)
-			errs[p] = gramProcRR(q, X, gram, retain, &stats[p], net.Endpoint(p), k, &simBarrier, &failed, assign, opts, rowCosts, sp)
-			sp.End()
-		}(p)
-	}
-	wg.Wait()
-	return firstError(errs)
+	return eachRank(k, opts.Span, func(p int, sp *obs.Span) error {
+		return gramProcRR(q, X, gram, retain, &stats[p], net.Endpoint(p), k, &simBarrier, &failed, assign, opts, rowCosts, sp)
+	})
 }
 
 func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mps.MPS, st *ProcStats, ep Endpoint, k int, simBarrier *sync.WaitGroup, failed *atomic.Bool, assign [][]int, opts Options, rowCosts []time.Duration, sp *obs.Span) error {
 	p := st.Rank
 	owned := assign[p]
-	pl := procPool(q, k)
-	defer pl.release()
+	workers := rankWorkers(q, k)
 	sp.SetAttr("rows", len(owned))
 
 	// Phase 1: materialise the local shard (simulating on cache misses),
@@ -67,7 +47,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	var simErr error
 	simSp := sp.Child("simulate")
 	st.SimTime = timed(func() {
-		simErr = simulateOwned(q, X, owned, states, pl, st, costs, simSp)
+		simErr = simulateOwned(q, X, owned, states, workers, st, costs, simSp)
 	})
 	simSp.End()
 	if simErr != nil {
@@ -115,7 +95,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 	counts := make([]int, len(owned))
 	triSp := sp.Child("local_triangle")
 	st.InnerTime += timed(func() {
-		pl.runWS(len(owned), func(ws *mps.Workspace, a int) {
+		kernel.EachRow(len(owned), workers, func(a int, _ *mps.SimWorkspace, ws *mps.Workspace) {
 			for b := a; b < len(owned); b++ {
 				gram[owned[a]][owned[b]] = ws.Overlap(states[a], states[b])
 				counts[a]++
@@ -140,7 +120,7 @@ func gramProcRR(q *kernel.Quantum, X [][]float64, gram [][]float64, retain []*mp
 			return uerr
 		}
 		st.InnerTime += timed(func() {
-			pl.runWS(len(owned), func(ws *mps.Workspace, a int) {
+			kernel.EachRow(len(owned), workers, func(a int, _ *mps.SimWorkspace, ws *mps.Workspace) {
 				i := owned[a]
 				for b, j := range in.Indices {
 					if j > i {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -62,6 +63,21 @@ func TestGramTraceSpanTree(t *testing.T) {
 	}
 	if names["row"] != len(X) {
 		t.Errorf("row span count = %d, want %d (one per training row)", names["row"], len(X))
+	}
+	// Each phase sits under its rank span, and each row under a simulate
+	// phase, although the rows and overlaps run on kernel.EachRow workers.
+	parentPrefix := map[string]string{
+		"simulate": "rank ", "exchange_send": "rank ", "local_triangle": "rank ", "exchange_recv": "rank ",
+		"row": "simulate",
+	}
+	byID := map[int64]string{}
+	for _, sp := range tr.Snapshot().Spans {
+		byID[sp.ID] = sp.Name
+	}
+	for _, sp := range tr.Snapshot().Spans {
+		if want, ok := parentPrefix[sp.Name]; ok && !strings.HasPrefix(byID[sp.Parent], want) {
+			t.Errorf("%q span's parent is %q, want %q…", sp.Name, byID[sp.Parent], want)
+		}
 	}
 	// Every row span must carry its row index and χ attrs.
 	for _, sp := range tr.Snapshot().Spans {

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
+	"repro/internal/kernel"
+	"repro/internal/mps"
 	"repro/internal/svm"
 )
 
@@ -154,6 +157,46 @@ func TestFig6SmallRun(t *testing.T) {
 	}
 	if got := res.Table().Render(); !strings.Contains(got, "progress %") {
 		t.Fatal("Fig 6 table render broken")
+	}
+}
+
+// TestFig6StatesLedgerMatchesApplyCircuit: RunFig6 reads its memory traces
+// from kernel.Quantum.States, which simulates on reused per-worker scratch
+// states. Every sample's ledger must equal, sample for sample, the one a
+// fresh NewZeroState + ApplyCircuit of the routed circuit records.
+func TestFig6StatesLedgerMatchesApplyCircuit(t *testing.T) {
+	rows, err := scaledRows(12, 12, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = rows[:6]
+	cfg := mps.Config{RecordMemory: true}
+	for _, d := range []int{2, 3} {
+		a := circuit.Ansatz{Qubits: 12, Layers: 2, Distance: d, Gamma: 1}
+		q := &kernel.Quantum{Ansatz: a, Config: cfg, Workers: 2}
+		states, err := q.States(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, x := range rows {
+			c, err := a.BuildRouted(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := mps.NewZeroState(a.Qubits, cfg)
+			if err := ref.ApplyCircuit(c); err != nil {
+				t.Fatal(err)
+			}
+			got := states[k].Ledger
+			if len(got) == 0 || len(got) != len(ref.Ledger) {
+				t.Fatalf("d=%d sample %d: ledger has %d samples, want %d", d, k, len(got), len(ref.Ledger))
+			}
+			for i := range got {
+				if got[i] != ref.Ledger[i] {
+					t.Fatalf("d=%d sample %d gate %d: %+v, want %+v", d, k, i, got[i], ref.Ledger[i])
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
+	"repro/internal/kernel"
 	"repro/internal/mps"
 )
 
@@ -64,8 +65,9 @@ type Fig6Result struct {
 	Series []Fig6Series
 }
 
-// RunFig6 simulates each circuit family with the memory ledger enabled and
-// resamples the traces onto a common percentage grid.
+// RunFig6 simulates each circuit family with the memory ledger enabled, its
+// samples in parallel through kernel.Quantum.States, and resamples the
+// traces onto a common percentage grid.
 func RunFig6(p Fig6Params) (*Fig6Result, error) {
 	p = p.withDefaults()
 	rows, err := scaledRows(p.Qubits, 2*p.Samples, 2*p.Samples, p.Seed)
@@ -79,16 +81,13 @@ func RunFig6(p Fig6Params) (*Fig6Result, error) {
 	for _, d := range p.Distances {
 		ansatz := circuit.Ansatz{Qubits: p.Qubits, Layers: p.Layers, Distance: d, Gamma: p.Gamma}
 		series := Fig6Series{Distance: d}
-		traces := make([][]float64, 0, len(rows))
-		for _, x := range rows {
-			c, err := ansatz.BuildRouted(x)
-			if err != nil {
-				return nil, err
-			}
-			st := mps.NewZeroState(p.Qubits, mps.Config{RecordMemory: true})
-			if err := st.ApplyCircuit(c); err != nil {
-				return nil, err
-			}
+		q := &kernel.Quantum{Ansatz: ansatz, Config: mps.Config{RecordMemory: true}}
+		states, err := q.States(rows)
+		if err != nil {
+			return nil, err
+		}
+		traces := make([][]float64, len(states))
+		for k, st := range states {
 			trace := make([]float64, len(st.Ledger))
 			prevBond := 1
 			for i, s := range st.Ledger {
@@ -98,7 +97,7 @@ func RunFig6(p Fig6Params) (*Fig6Result, error) {
 				}
 				prevBond = s.MaxBond
 			}
-			traces = append(traces, trace)
+			traces[k] = trace
 		}
 		// Resample every trace onto a 0..100% grid and aggregate.
 		series.ProgressPct = make([]float64, gridN+1)

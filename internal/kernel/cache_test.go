@@ -3,6 +3,9 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mps"
@@ -154,32 +157,70 @@ func TestStatesBoundedPoolCorrect(t *testing.T) {
 	}
 }
 
-// TestGramCrossWorkerCounts: the row-band scheduler fills identical matrices
-// at every worker count (including the workers>bands clamp).
+// TestGramCrossWorkerCounts: GramFromStates and CrossFromStates fill
+// identical matrices at every worker count — ≤ 0 (GOMAXPROCS), one, and more
+// workers than rows — and at 0, 1 and 11 states.
 func TestGramCrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	q := defaultQuantum(5)
-	states, err := q.States(testData(rng, 11, 5))
+	all, err := q.States(testData(rng, 11, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	test := states[:4]
-	ref := GramFromStates(states, 1)
-	refC := CrossFromStates(test, states, 1)
-	for _, workers := range []int{2, 3, 8, 100} {
-		g := GramFromStates(states, workers)
-		c := CrossFromStates(test, states, workers)
-		for i := range ref {
-			for j := range ref[i] {
-				if g[i][j] != ref[i][j] {
-					t.Fatalf("workers=%d: gram (%d,%d) %v vs %v", workers, i, j, g[i][j], ref[i][j])
+	for _, states := range [][]*mps.MPS{nil, all[:1], all} {
+		test := states[:min(4, len(states))]
+		ref := GramFromStates(states, 1)
+		refC := CrossFromStates(test, states, 1)
+		if len(ref) != len(states) || len(refC) != len(test) {
+			t.Fatalf("%d states: gram has %d rows, cross %d", len(states), len(ref), len(refC))
+		}
+		for _, workers := range []int{-1, 0, 2, 3, 8, 100} {
+			g := GramFromStates(states, workers)
+			c := CrossFromStates(test, states, workers)
+			for i := range ref {
+				for j := range ref[i] {
+					if g[i][j] != ref[i][j] {
+						t.Fatalf("%d states, workers=%d: gram (%d,%d) %v vs %v", len(states), workers, i, j, g[i][j], ref[i][j])
+					}
+				}
+			}
+			for i := range refC {
+				for j := range refC[i] {
+					if c[i][j] != refC[i][j] {
+						t.Fatalf("%d states, workers=%d: cross (%d,%d) %v vs %v", len(states), workers, i, j, c[i][j], refC[i][j])
+					}
 				}
 			}
 		}
-		for i := range refC {
-			for j := range refC[i] {
-				if c[i][j] != refC[i][j] {
-					t.Fatalf("workers=%d: cross (%d,%d) %v vs %v", workers, i, j, c[i][j], refC[i][j])
+	}
+}
+
+// TestEachRowRunsEveryRowOnce: at every row count and worker count (≤ 0
+// selecting GOMAXPROCS), EachRow runs each index exactly once, and no
+// workspace is handed to two tasks at once. Run it under -race.
+func TestEachRowRunsEveryRowOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64} {
+		for _, workers := range []int{-1, 0, 1, 2, 3, 100} {
+			runs := make([]atomic.Int32, n)
+			var busy sync.Map // workspace → held by a running task
+			EachRow(n, workers, func(i int, sw *mps.SimWorkspace, ws *mps.Workspace) {
+				if sw == nil || ws == nil {
+					t.Errorf("n=%d workers=%d row %d: nil workspace", n, workers, i)
+					return
+				}
+				runs[i].Add(1)
+				for _, w := range []any{sw, ws} {
+					if _, held := busy.LoadOrStore(w, i); held {
+						t.Errorf("n=%d workers=%d row %d: workspace %T in use by another task", n, workers, i, w)
+					}
+				}
+				runtime.Gosched()
+				busy.Delete(sw)
+				busy.Delete(ws)
+			})
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: row %d ran %d times", n, workers, i, got)
 				}
 			}
 		}

@@ -1,15 +1,16 @@
 // Package kernel implements the paper's quantum kernel framework (sections
 // II-A and II-D, single-machine form): mapping data points to MPS-simulated
 // quantum states through the feature-map circuit, computing the Gram matrix
-// K_ij = |⟨ψ(x_i), ψ(x_j)⟩|² from pairwise overlaps with goroutine-level
-// parallelism, and the Gaussian RBF baseline kernel of equation (9) used for
-// the Table II comparison.
+// K_ij = |⟨ψ(x_i), ψ(x_j)⟩|² from pairwise overlaps, and the Gaussian RBF
+// baseline kernel of equation (9) used for the Table II comparison.
 //
 // The package exploits the paper's key structural insight: the number of MPS
 // simulations scales linearly with the number of data points, while the
 // quadratic scaling applies only to the (much cheaper) inner products — each
-// of which is independent and embarrassingly parallel. The multi-process
-// distribution strategies of Fig. 4 live in internal/dist.
+// of which is independent and embarrassingly parallel. Both stages run on
+// EachRow, one task per row on a bounded set of goroutines; it is also the
+// scheduler inside each rank of the multi-process distribution strategies of
+// Fig. 4, which live in internal/dist.
 package kernel
 
 import (
@@ -78,13 +79,6 @@ func (q *Quantum) compiled() *compiled {
 func (c *compiled) program() (*circuit.Program, error) {
 	c.once.Do(func() { c.p, c.err = circuit.Compile(c.a) })
 	return c.p, c.err
-}
-
-func (q *Quantum) workers() int {
-	if q.Workers > 0 {
-		return q.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Fingerprint encodes the full simulation context — everything besides the
@@ -169,14 +163,14 @@ func (q *Quantum) StateCachedSpan(x []float64, sw *mps.SimWorkspace, sp *obs.Spa
 func (q *Quantum) BandWidth() int { return 1 }
 
 // States simulates every row of X on a bounded worker pool — the
-// linear-cost stage of the framework. Rows are scheduled as eachRow does, so
-// a 100k-row dataset costs 100k simulations but only a handful of
-// goroutines, and a warm worker's row allocates only its finished state.
+// linear-cost stage of the framework. Rows are scheduled by EachRow, so a
+// 100k-row dataset costs 100k simulations but only a handful of goroutines,
+// and a warm worker's row allocates only its finished state.
 // Every state is the one State would return for its row.
 func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
 	states := make([]*mps.MPS, len(X))
 	errs := make([]error, len(X))
-	q.eachRow(len(X), func(i int, sw *mps.SimWorkspace, _ *mps.Workspace) {
+	EachRow(len(X), q.Workers, func(i int, sw *mps.SimWorkspace, _ *mps.Workspace) {
 		states[i], _, errs[i] = q.StateCachedSpan(X[i], sw, nil)
 	})
 	for i, err := range errs {
@@ -191,8 +185,8 @@ func (q *Quantum) States(X [][]float64) ([]*mps.MPS, error) {
 // are already simulated (a model's retained handles, the paper's "store the
 // MPS"), so only the test rows are simulated and nothing is exchanged. Each
 // test row is one task — materialised through StateCachedSpan, then its
-// overlaps with every training state fill its row — scheduled as eachRow
-// does. Every entry is == to CrossFromStates(States(testX), train). sp, when
+// overlaps with every training state fill its row — scheduled by EachRow.
+// Every entry is == to CrossFromStates(States(testX), train). sp, when
 // non-nil, receives one "row" child per test row carrying its index and
 // cache outcome.
 func (q *Quantum) CrossStates(testX [][]float64, train []*mps.MPS, sp *obs.Span) ([][]float64, error) {
@@ -208,7 +202,7 @@ func (q *Quantum) CrossStates(testX [][]float64, train []*mps.MPS, sp *obs.Span)
 	}
 	k := make([][]float64, len(testX))
 	errs := make([]error, len(testX))
-	q.eachRow(len(testX), func(i int, sw *mps.SimWorkspace, ws *mps.Workspace) {
+	EachRow(len(testX), q.Workers, func(i int, sw *mps.SimWorkspace, ws *mps.Workspace) {
 		rowSp := sp.Child("row")
 		defer rowSp.End()
 		rowSp.SetAttr("row", i)
@@ -233,12 +227,17 @@ func (q *Quantum) CrossStates(testX [][]float64, train []*mps.MPS, sp *obs.Span)
 	return k, nil
 }
 
-// eachRow runs task(i, …) for every row i in [0, n). Rows are claimed one at
-// a time through an atomic cursor by min(Workers, n) goroutines, so no core
-// idles while another still holds unclaimed rows; each goroutine holds one
-// simulation and one overlap workspace from mps's idle sets for the whole
-// call. A single worker runs the rows on the caller's goroutine.
-func (q *Quantum) eachRow(n int, task func(i int, sw *mps.SimWorkspace, ws *mps.Workspace)) {
+// EachRow runs task(i, …) for every row i in [0, n): the one scheduler of
+// every simulation and overlap stage, here and in internal/dist. Rows are
+// claimed one at a time through an atomic cursor by min(workers, n)
+// goroutines (workers ≤ 0 selects GOMAXPROCS), so no core idles while
+// another still holds unclaimed rows; each goroutine holds one simulation
+// and one overlap workspace from mps's idle sets for the whole call. A
+// single worker runs the rows on the caller's goroutine.
+func EachRow(n, workers int, task func(i int, sw *mps.SimWorkspace, ws *mps.Workspace)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var next atomic.Int64
 	run := func() {
 		sw, ws := mps.AcquireSimWorkspace(), mps.AcquireWorkspace()
@@ -248,7 +247,7 @@ func (q *Quantum) eachRow(n int, task func(i int, sw *mps.SimWorkspace, ws *mps.
 			task(i, sw, ws)
 		}
 	}
-	w := min(q.workers(), n)
+	w := min(workers, n)
 	if w == 1 {
 		run()
 		return
@@ -273,7 +272,7 @@ func (q *Quantum) Gram(X [][]float64) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return GramFromStates(states, q.workers()), nil
+	return GramFromStates(states, q.Workers), nil
 }
 
 // Cross computes the rectangular kernel between test rows and train rows,
@@ -287,96 +286,53 @@ func (q *Quantum) Cross(Xtest, Xtrain [][]float64) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CrossFromStates(ts, tr, q.workers()), nil
-}
-
-// overlapBand is the number of matrix rows claimed per scheduling step of
-// the overlap stage. Bands amortise scheduling to one atomic increment per
-// band (the old path paid a channel send per entry) while staying small
-// enough that dynamic claiming load-balances the triangle's uneven rows.
-const overlapBand = 8
-
-// forEachBand distributes the row range [0, rows) over workers goroutines in
-// bands of overlapBand rows, giving each worker a private overlap workspace
-// so the inner-product stage performs zero per-pair heap allocations.
-func forEachBand(rows, workers int, fill func(w *mps.Workspace, lo, hi int)) {
-	if rows <= 0 {
-		return
-	}
-	bands := (rows + overlapBand - 1) / overlapBand
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > bands {
-		workers = bands
-	}
-	if workers == 1 {
-		fill(mps.NewWorkspace(), 0, rows)
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := mps.NewWorkspace()
-			for {
-				band := int(next.Add(1))
-				if band >= bands {
-					return
-				}
-				lo := band * overlapBand
-				hi := lo + overlapBand
-				if hi > rows {
-					hi = rows
-				}
-				fill(w, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	return CrossFromStates(ts, tr, q.Workers), nil
 }
 
 // GramFromStates fills the symmetric overlap matrix from simulated states.
-// Each entry is the paper's K_ij = |⟨ψ_i, ψ_j⟩|²; the N(N+1)/2 upper-triangle
-// entries are computed in row bands distributed over workers goroutines and
-// mirrored into the lower triangle.
+// Each entry is the paper's K_ij = |⟨ψ_i, ψ_j⟩|²; each of the N(N+1)/2
+// upper-triangle entries is computed once, one task per row on EachRow's
+// workers (≤ 0 selects GOMAXPROCS), and the triangle is mirrored into the
+// lower one afterwards.
 func GramFromStates(states []*mps.MPS, workers int) [][]float64 {
 	n := len(states)
-	k := make([][]float64, n)
-	for i := range k {
-		k[i] = make([]float64, n)
-	}
-	forEachBand(n, workers, func(w *mps.Workspace, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := k[i]
-			for j := i; j < n; j++ {
-				v := w.Overlap(states[i], states[j])
-				row[j] = v
-				k[j][i] = v
-			}
+	k := zeros(n, n)
+	EachRow(n, workers, func(i int, _ *mps.SimWorkspace, ws *mps.Workspace) {
+		for j := i; j < n; j++ {
+			k[i][j] = ws.Overlap(states[i], states[j])
+		}
+	})
+	Mirror(k)
+	return k
+}
+
+// CrossFromStates fills the rectangular overlap matrix test×train, one task
+// per test row on EachRow's workers (≤ 0 selects GOMAXPROCS).
+func CrossFromStates(test, train []*mps.MPS, workers int) [][]float64 {
+	k := zeros(len(test), len(train))
+	EachRow(len(test), workers, func(i int, _ *mps.SimWorkspace, ws *mps.Workspace) {
+		for j, tr := range train {
+			k[i][j] = ws.Overlap(test[i], tr)
 		}
 	})
 	return k
 }
 
-// CrossFromStates fills the rectangular overlap matrix test×train, row bands
-// over the test states.
-func CrossFromStates(test, train []*mps.MPS, workers int) [][]float64 {
-	k := make([][]float64, len(test))
+// Mirror copies a square matrix's upper triangle into its lower one.
+func Mirror(k [][]float64) {
 	for i := range k {
-		k[i] = make([]float64, len(train))
-	}
-	forEachBand(len(test), workers, func(w *mps.Workspace, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := k[i]
-			for j := range train {
-				row[j] = w.Overlap(test[i], train[j])
-			}
+		for j := i + 1; j < len(k); j++ {
+			k[j][i] = k[i][j]
 		}
-	})
+	}
+}
+
+// zeros allocates a rows×cols matrix of zeros.
+func zeros(rows, cols int) [][]float64 {
+	k := make([][]float64, rows)
+	for i := range k {
+		k[i] = make([]float64, cols)
+	}
 	return k
 }
 

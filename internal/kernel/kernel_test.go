@@ -331,7 +331,7 @@ func TestKernelConcentrationWithDepth(t *testing.T) {
 
 // BenchmarkGramFromStates isolates the O(N²) overlap stage: states are
 // simulated once outside the timer, so ns/op and allocs/op measure the
-// row-band scheduler and the per-worker zero-realloc workspaces alone.
+// row scheduler and the per-worker zero-realloc workspaces alone.
 func BenchmarkGramFromStates(b *testing.B) {
 	full := dataset.GenerateElliptic(dataset.EllipticConfig{Features: 16, NumIllicit: 32, NumLicit: 32, Seed: 1})
 	sc, err := dataset.FitScaler(full)

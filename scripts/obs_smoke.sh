@@ -26,7 +26,7 @@ go build -o "$tmp/obscheck" ./cmd/obscheck
 "$tmp/qkernel" train -size 16 -features 6 -procs 2 -out "$tmp/model.bin" \
     -trace "$tmp/trace.json" >/dev/null
 "$tmp/obscheck" -trace "$tmp/trace.json" \
-    -require 'fit,gram,rank 0,rank 1,simulate,row,svm_train,cross_kernel'
+    -require 'fit,gram,rank 0,rank 1,simulate,row,local_triangle,exchange_send,exchange_recv,svm_train,cross_kernel'
 
 # 2. Serve with tracing + pprof and fire one traced request.
 "$tmp/qkernel" serve -addr 127.0.0.1:0 -pprof-addr 127.0.0.1:0 \
